@@ -357,7 +357,11 @@ let rec dispatch p th name args =
 and dispatch_inner p th name args =
   let ctx = p.ctx in
   let kern = ctx.kernel in
-  let a n = List.nth args n in
+  let a n =
+    match List.nth_opt args n with
+    | Some v -> v
+    | None -> raise (Ast.Guest_fault (Printf.sprintf "%s: missing argument %d" name n))
+  in
   let int_arg n = Ast.as_int (a n) in
   let str_arg n = Ast.as_str (a n) in
   let file_of_fd fd =

@@ -101,6 +101,23 @@ let split_on_string s sep =
   in
   loop 0 0 []
 
+(* [s] concatenated [n] times, built in one allocation: memory-dirtying
+   guests repeat a one-byte string into 64 KiB chunks millions of times. *)
+let repeat s n =
+  let len = String.length s in
+  if n < 0 then raise (Guest_fault "Repeat: negative count");
+  if len > 0 && n > Sys.max_string_length / len then
+    raise (Guest_fault "Repeat: result too long");
+  if len = 0 then ""
+  else if len = 1 then String.make n s.[0]
+  else begin
+    let buf = Bytes.create (len * n) in
+    for i = 0 to n - 1 do
+      Bytes.blit_string s 0 buf (i * len) len
+    done;
+    Bytes.unsafe_to_string buf
+  end
+
 let apply_binop op a b =
   let int_op f = Vint (f (as_int a) (as_int b)) in
   let cmp f = Vbool (f (compare a b) 0) in
@@ -122,22 +139,13 @@ let apply_binop op a b =
   | Split -> Vlist (List.map (fun s -> Vstr s) (split_on_string (as_str a) (as_str b)))
   | Nth -> (
     let l = as_list a and i = as_int b in
-    match List.nth_opt l i with
+    match if i < 0 then None else List.nth_opt l i with
     | Some v -> v
     | None -> raise (Guest_fault (Printf.sprintf "Nth: index %d out of bounds" i)))
   | Starts_with ->
     let s = as_str a and p = as_str b in
     Vbool (String.length s >= String.length p && String.sub s 0 (String.length p) = p)
-  | Repeat ->
-    let s = as_str a and n = as_int b in
-    if n < 0 then raise (Guest_fault "Repeat: negative count")
-    else begin
-      let buf = Buffer.create (String.length s * n) in
-      for _ = 1 to n do
-        Buffer.add_string buf s
-      done;
-      Vstr (Buffer.contents buf)
-    end
+  | Repeat -> Vstr (repeat (as_str a) (as_int b))
 
 let apply_unop op v =
   match op with
@@ -194,8 +202,10 @@ let enter_call st fname arg_values =
     kont = KReturn saved_env :: st.kont;
     stack = fname :: st.stack }
 
+(* One small step. The step counter is not touched here: [step] and
+   [run] write it once into the state they return, so a step costs one
+   state copy, not two. *)
 let step_unsafe st =
-  let st = { st with steps = st.steps + 1 } in
   match st.control with
   | Await -> invalid_arg "Interp.step: machine is awaiting a syscall result"
   | Eval e -> (
@@ -297,17 +307,26 @@ let step_unsafe st =
         else Compute (n, { st with control = Ret Vunit })
       | KResume saved -> Running { st with control = saved }))
 
-let step st = try step_unsafe st with Guest_fault msg -> Fault msg
+let with_steps steps = function
+  | Running st -> Running { st with steps }
+  | Compute (n, st) -> Compute (n, { st with steps })
+  | Syscall (name, args, st) -> Syscall (name, args, { st with steps })
+  | (Finished _ | Fault _) as done_ -> done_
 
+let step st =
+  with_steps (st.steps + 1) (try step_unsafe st with Guest_fault msg -> Fault msg)
+
+(* The states between the first and the last step carry a stale step
+   count; none of them escapes, and [step_unsafe] never reads it. *)
 let run st ~fuel =
-  let rec loop st fuel =
-    if fuel = 0 then Running st
+  let rec loop st' taken =
+    if taken = fuel then Running { st' with steps = st.steps + taken }
     else
-      match step st with
-      | Running st' -> loop st' (fuel - 1)
-      | other -> other
+      match step_unsafe st' with
+      | Running st' -> loop st' (taken + 1)
+      | other -> with_steps (st.steps + taken + 1) other
   in
-  loop st fuel
+  try loop st 0 with Guest_fault msg -> Fault msg
 
 let resume st v =
   (match st.control with

@@ -321,7 +321,7 @@ let introspection_report t =
   |> List.map (fun (_, f) -> f ())
   |> String.concat ""
 
-let after t cost fn = ignore (Engine.schedule_after t.engine cost fn)
+let after t cost fn = Engine.schedule_after t.engine cost fn
 let run_until_idle t = Engine.run_until_idle t.engine
 
 (* Schedule [fn] on [peer]'s inbox no earlier than the stream latency
@@ -332,7 +332,7 @@ let schedule_into ?(extra = Time.zero) t peer fn =
     max (Time.add (now t) (Time.add extra Cost.stream_oneway)) peer.Stream.fifo_clock
   in
   peer.Stream.fifo_clock <- at;
-  ignore (Engine.schedule_at t.engine at fn)
+  Engine.schedule_at t.engine at fn
 
 let run_watchdog t ~max_events =
   if not (Engine.run_bounded t.engine ~max_events) then
@@ -453,13 +453,13 @@ let syscall_report t =
 
 (* An LSM hook decision. Traced as a refmon-layer span at the hook
    point itself, so the trace shows the check even under the permissive
-   LSM (where it costs nothing). *)
+   LSM (where it costs nothing). [target] is only built when tracing. *)
 let lsm_verdict t pico ~hook ~target ~cost allowed =
   if Obs.enabled t.tracer then begin
     Obs.count t.tracer (if allowed then "refmon.allow" else "refmon.deny");
     Obs.span t.tracer Obs.Refmon ~name:hook ~pid:pico.pid
       ~args:
-        [ ("target", Obs.Astr target);
+        [ ("target", Obs.Astr (target ()));
           ("verdict", Obs.Astr (if allowed then "allow" else "deny")) ]
       ~start:(now t)
       ~dur:(if t.lsm_active then cost else Time.zero)
@@ -768,14 +768,13 @@ let install_faults t plan =
   match Fault.kill_leader_at plan with
   | None -> ()
   | Some at ->
-    ignore
-      (Engine.schedule_at t.engine at (fun () ->
-           match t.fault_leader with
-           | Some p when alive p ->
-             t.leader_killed_at <- Some (now t);
-             fault_trace t "kill_leader" p.pid [ ("victim", Obs.Aint p.pid) ];
-             kill_pico t p
-           | _ -> ()))
+    Engine.schedule_at t.engine at (fun () ->
+        match t.fault_leader with
+        | Some p when alive p ->
+          t.leader_killed_at <- Some (now t);
+          fault_trace t "kill_leader" p.pid [ ("victim", Obs.Aint p.pid) ];
+          kill_pico t p
+        | _ -> ())
 
 (* The crash-at-Nth-PAL-call fault. The PAL calls this from its
    dispatch choke point; [true] means the picoprocess was just killed
@@ -825,7 +824,7 @@ let stream_connect t ?(latency = Cost.stream_connect) pico ~name ~ok ~err =
   | Some srv ->
     if
       not
-        (lsm_verdict t pico ~hook:"check_stream_connect" ~target:srv.srv_name
+        (lsm_verdict t pico ~hook:"check_stream_connect" ~target:(fun () -> srv.srv_name)
            ~cost:Cost.lsm_socket_check
            (t.lsm.check_stream_connect pico srv))
     then err "EACCES"
@@ -1099,7 +1098,7 @@ let gipc_recv t pico ~token =
     if
       not
         (lsm_verdict t pico ~hook:"check_gipc"
-           ~target:(Printf.sprintf "pid %d -> pid %d" g_src.pid pico.pid)
+           ~target:(fun () -> Printf.sprintf "pid %d -> pid %d" g_src.pid pico.pid)
            ~cost:Cost.lsm_fd_check
            (t.lsm.check_gipc ~src:g_src ~dst:pico))
     then raise (Denied "gipc: cross-sandbox");
@@ -1134,8 +1133,8 @@ let check_path_traced t pico path access =
     else Cost.lsm_path_check
   in
   lsm_verdict t pico ~hook:"check_path"
-    ~target:
-      (path ^ " (" ^ (match access with `Read -> "r" | `Write -> "w" | `Exec -> "x") ^ ")")
+    ~target:(fun () ->
+      path ^ " (" ^ (match access with `Read -> "r" | `Write -> "w" | `Exec -> "x") ^ ")")
     ~cost
     (t.lsm.check_path pico path access)
 
@@ -1186,7 +1185,7 @@ let net_listen t pico ~port =
   if
     not
       (lsm_verdict t pico ~hook:"check_net"
-         ~target:(Printf.sprintf "bind 127.0.0.1:%d" port)
+         ~target:(fun () -> Printf.sprintf "bind 127.0.0.1:%d" port)
          ~cost:Cost.lsm_socket_check
          (t.lsm.check_net pico ~addr:"127.0.0.1" ~port `Bind))
   then raise (Denied "EACCES: bind");
@@ -1196,7 +1195,7 @@ let net_connect t pico ~port ~ok ~err =
   if
     not
       (lsm_verdict t pico ~hook:"check_net"
-         ~target:(Printf.sprintf "connect 127.0.0.1:%d" port)
+         ~target:(fun () -> Printf.sprintf "connect 127.0.0.1:%d" port)
          ~cost:Cost.lsm_socket_check
          (t.lsm.check_net pico ~addr:"127.0.0.1" ~port `Connect))
   then err "EACCES"

@@ -486,9 +486,10 @@ val syscall_report : t -> (string * int * Graphene_sim.Time.t) list
     count (ties broken by name). *)
 
 val lsm_verdict :
-  t -> pico -> hook:string -> target:string -> cost:Graphene_sim.Time.t -> bool -> bool
+  t -> pico -> hook:string -> target:(unit -> string) -> cost:Graphene_sim.Time.t -> bool -> bool
 (** Trace an LSM hook decision (refmon-layer span + allow/deny counter)
     and return the verdict unchanged. The span costs [cost] when a real
-    monitor is installed, zero under the permissive LSM. *)
+    monitor is installed, zero under the permissive LSM. [target] is
+    called only when tracing is on. *)
 
 val system_memory : t -> int

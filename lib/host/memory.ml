@@ -49,10 +49,12 @@ let create alloc = { alloc; regions = []; cow_faults = 0 }
 
 let pages_of_bytes n = (n + page_size - 1) / page_size
 
-let new_frame alloc =
+let frame_of alloc data =
   alloc.next_fid <- alloc.next_fid + 1;
   alloc.live_frames <- alloc.live_frames + 1;
-  { fid = alloc.next_fid; refcount = 1; data = Bytes.make page_size '\000' }
+  { fid = alloc.next_fid; refcount = 1; data }
+
+let new_frame alloc = frame_of alloc (Bytes.make page_size '\000')
 
 let drop_frame alloc frame =
   frame.refcount <- frame.refcount - 1;
@@ -94,27 +96,39 @@ let region_at t addr =
 
 type touch_result = Resident | Faulted_in | Cow_copied
 
+(* The region holding [addr], if it permits the access. *)
+let accessible_region t addr ~write =
+  let r = region_at t addr in
+  if (write && not r.perm.w) || ((not write) && not r.perm.r) then raise (Fault addr);
+  r
+
+(* Page [idx] of [r], made resident; on a write to a shared frame, the
+   share is broken with a private copy. A fresh page the caller is
+   about to overwrite [whole] is not zero-filled first. *)
+let page_frame t r idx ~write ~whole =
+  match r.frames.(idx) with
+  | None ->
+    let frame =
+      if whole then frame_of t.alloc (Bytes.create page_size) else new_frame t.alloc
+    in
+    r.frames.(idx) <- Some frame;
+    frame
+  | Some frame when write && frame.refcount > 1 ->
+    let copy = frame_of t.alloc (Bytes.copy frame.data) in
+    drop_frame t.alloc frame;
+    r.frames.(idx) <- Some copy;
+    t.cow_faults <- t.cow_faults + 1;
+    copy
+  | Some frame -> frame
+
 (* Make the page containing [addr] resident; on a write to a shared
    frame, break the share with a private copy. *)
 let touch t addr ~write =
-  let r = region_at t addr in
-  if write && not r.perm.w then raise (Fault addr);
-  if (not write) && not r.perm.r then raise (Fault addr);
+  let r = accessible_region t addr ~write in
   let idx = (addr - r.base) / page_size in
-  match r.frames.(idx) with
-  | None ->
-    r.frames.(idx) <- Some (new_frame t.alloc);
-    Faulted_in
-  | Some frame ->
-    if write && frame.refcount > 1 then begin
-      let copy = new_frame t.alloc in
-      Bytes.blit frame.data 0 copy.data 0 page_size;
-      drop_frame t.alloc frame;
-      r.frames.(idx) <- Some copy;
-      t.cow_faults <- t.cow_faults + 1;
-      Cow_copied
-    end
-    else Resident
+  let was_resident = r.frames.(idx) <> None and cows = t.cow_faults in
+  ignore (page_frame t r idx ~write ~whole:false);
+  if not was_resident then Faulted_in else if t.cow_faults > cows then Cow_copied else Resident
 
 (* Is the page containing [addr] resident, without faulting it in? *)
 let resident t addr =
@@ -122,44 +136,40 @@ let resident t addr =
   | None -> false
   | Some r -> r.frames.((addr - r.base) / page_size) <> None
 
-(* Byte-granularity access spanning pages; returns the number of COW
-   copies performed so the caller can charge fault costs. *)
-let write_bytes t addr s =
-  let n = String.length s in
-  let cow = ref 0 in
-  let rec loop off =
+(* Byte-granularity access: hand [f] each page that [n] bytes from
+   [addr] span, as (frame, offset in page, offset in the data, length).
+   A region is looked up once, not once per page. *)
+let iter_pages t addr n ~write f =
+  let rec loop r off =
     if off < n then begin
       let a = addr + off in
-      (match touch t a ~write:true with Cow_copied -> incr cow | _ -> ());
-      let r = region_at t a in
-      let idx = (a - r.base) / page_size in
-      let frame = match r.frames.(idx) with Some f -> f | None -> assert false in
-      let page_off = a mod page_size in
-      let take = Stdlib.min (n - off) (page_size - page_off) in
-      Bytes.blit_string s off frame.data page_off take;
-      loop (off + take)
+      if a >= region_end r then loop (accessible_region t a ~write) off
+      else begin
+        let page_off = a mod page_size in
+        let take = Stdlib.min (n - off) (page_size - page_off) in
+        let frame =
+          page_frame t r ((a - r.base) / page_size) ~write ~whole:(write && take = page_size)
+        in
+        f frame page_off off take;
+        loop r (off + take)
+      end
     end
   in
-  loop 0;
-  !cow
+  if n > 0 then loop (accessible_region t addr ~write) 0
+
+(* Returns the number of COW copies performed so the caller can charge
+   fault costs. *)
+let write_bytes t addr s =
+  let cows = t.cow_faults in
+  iter_pages t addr (String.length s) ~write:true (fun frame page_off off take ->
+      Bytes.blit_string s off frame.data page_off take);
+  t.cow_faults - cows
 
 let read_bytes t addr n =
-  let buf = Buffer.create n in
-  let rec loop off =
-    if off < n then begin
-      let a = addr + off in
-      ignore (touch t a ~write:false);
-      let r = region_at t a in
-      let idx = (a - r.base) / page_size in
-      let frame = match r.frames.(idx) with Some f -> f | None -> assert false in
-      let page_off = a mod page_size in
-      let take = Stdlib.min (n - off) (page_size - page_off) in
-      Buffer.add_subbytes buf frame.data page_off take;
-      loop (off + take)
-    end
-  in
-  loop 0;
-  Buffer.contents buf
+  let buf = Bytes.create (Stdlib.max n 0) in
+  iter_pages t addr n ~write:false (fun frame page_off off take ->
+      Bytes.blit frame.data page_off buf off take);
+  Bytes.unsafe_to_string buf
 
 let protect t ~base ~npages ~perm =
   match find_region t base with

@@ -613,7 +613,11 @@ let rec dispatch lx th name args =
   with Ast.Guest_fault _ -> fail lx th E.EINVAL
 
 and dispatch_inner lx th name args =
-  let a n = List.nth args n in
+  let a n =
+    match List.nth_opt args n with
+    | Some v -> v
+    | None -> raise (Ast.Guest_fault (Printf.sprintf "%s: missing argument %d" name n))
+  in
   let int_arg n = Ast.as_int (a n) in
   let str_arg n = Ast.as_str (a n) in
   match name with

@@ -593,7 +593,7 @@ let process_create t ~exe ~sandboxed ~boot k =
           if
             not
               (K.lsm_verdict t.kernel t.pico ~hook:"check_path"
-                 ~target:(exe ^ " (x)") ~cost:Cost.lsm_path_check
+                 ~target:(fun () -> exe ^ " (x)") ~cost:Cost.lsm_path_check
                  (t.kernel.K.lsm.K.check_path t.pico exe `Exec))
           then raise (K.Denied ("EACCES exec " ^ exe));
           let sandbox =

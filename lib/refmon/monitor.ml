@@ -123,15 +123,17 @@ let deny t (pico : K.pico) what =
 
 (* An allow with its manifest-rule provenance; [cached] marks verdicts
    answered from the decision cache (attributed to the rule that
-   filled the entry). *)
+   filled the entry). Allows are the refmon's hot path, so [target] and
+   the event are only built while auditing is on. *)
 let audit_allow t (pico : K.pico) ~target ~rule ~cached =
-  K.audit_emit t.kernel Audit.Refmon ~action:"allow" ~pid:pico.K.pid
-    ~args:
-      [ ("target", Obs.Astr target);
-        ("rule", Obs.Astr rule);
-        ("sandbox", Obs.Aint pico.K.sandbox);
-        ("cached", Obs.Aint (if cached then 1 else 0)) ]
-    ()
+  if Audit.enabled t.kernel.K.audit then
+    K.audit_emit t.kernel Audit.Refmon ~action:"allow" ~pid:pico.K.pid
+      ~args:
+        [ ("target", Obs.Astr (target ()));
+          ("rule", Obs.Astr rule);
+          ("sandbox", Obs.Aint pico.K.sandbox);
+          ("cached", Obs.Aint (if cached then 1 else 0)) ]
+      ()
 
 let manifest_of t sandbox =
   Option.value ~default:Manifest.empty (Hashtbl.find_opt t.sandboxes sandbox)
@@ -146,7 +148,7 @@ let check_path_rule t pico path access =
   let m = manifest_of t (pico : K.pico).K.sandbox in
   match Manifest.matching_rule m path access with
   | Some rule ->
-    audit_allow t pico ~target:(path_target path access) ~rule ~cached:false;
+    audit_allow t pico ~target:(fun () -> path_target path access) ~rule ~cached:false;
     Some rule
   | None ->
     ignore (deny t pico (Printf.sprintf "path %s (%c)" path (access_char access)));
@@ -166,7 +168,7 @@ let lsm_of t =
           | Some (e, rule) when e = epoch ->
             t.dec_stats.hits <- t.dec_stats.hits + 1;
             cache_count t "refmon.cache.hit";
-            audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
+            audit_allow t pico ~target:(fun () -> path_target path access) ~rule ~cached:true;
             true
           | _ -> (
             t.dec_stats.misses <- t.dec_stats.misses + 1;
@@ -190,9 +192,9 @@ let lsm_of t =
         match Manifest.matching_net_rule m ~port dir with
         | Some rule ->
           audit_allow t pico
-            ~target:
-              (Printf.sprintf "port %d (%s)" port
-                 (match dir with `Bind -> "bind" | `Connect -> "connect"))
+            ~target:(fun () ->
+              Printf.sprintf "port %d (%s)" port
+                (match dir with `Bind -> "bind" | `Connect -> "connect"))
             ~rule ~cached:false;
           true
         | None ->

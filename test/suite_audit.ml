@@ -207,6 +207,35 @@ let test_cached_allow_keeps_provenance () =
       && arg first "rule" = Some (Obs.Astr "fs.allow r /lib"))
   | evs -> Alcotest.failf "expected 2 refmon events, got %d" (List.length evs)
 
+(* Allow targets are built lazily, only while auditing is on; the
+   export must still carry every one of them, byte for byte. *)
+let test_allow_export_is_exact () =
+  let k = K.create () in
+  Audit.enable k.K.audit;
+  let mon = Monitor.install k in
+  Monitor.configure_cache mon ~enabled:true ~capacity:64;
+  let sbx = K.fresh_sandbox k in
+  let pico = K.spawn k ~sandbox:sbx ~exe:"/bin/x" () in
+  Monitor.bind_sandbox mon ~sandbox:sbx
+    ~manifest:(manifest_of "fs.allow r /lib\nfs.allow rw /tmp\nfs.exec /bin\nnet.bind 8000-8100\n");
+  let lsm = k.K.lsm in
+  ignore (lsm.K.check_path pico "/lib/libc.so" `Read);
+  ignore (lsm.K.check_path pico "/lib/libc.so" `Read);
+  ignore (lsm.K.check_path pico "/tmp/out" `Write);
+  ignore (lsm.K.check_path pico "/bin/sh" `Exec);
+  ignore (lsm.K.check_path pico "/etc/shadow" `Read);
+  ignore (lsm.K.check_net pico ~addr:"127.0.0.1" ~port:8080 `Bind);
+  check_str "refmon export"
+    (String.concat "\n"
+       [ {|{"t":0,"seq":2,"pid":1,"cat":"refmon","action":"allow","args":{"target":"/lib/libc.so (r)","rule":"fs.allow r /lib","sandbox":1,"cached":0}}|};
+         {|{"t":0,"seq":3,"pid":1,"cat":"refmon","action":"allow","args":{"target":"/lib/libc.so (r)","rule":"fs.allow r /lib","sandbox":1,"cached":1}}|};
+         {|{"t":0,"seq":4,"pid":1,"cat":"refmon","action":"allow","args":{"target":"/tmp/out (w)","rule":"fs.allow rw /tmp","sandbox":1,"cached":0}}|};
+         {|{"t":0,"seq":5,"pid":1,"cat":"refmon","action":"allow","args":{"target":"/bin/sh (x)","rule":"fs.exec /bin","sandbox":1,"cached":0}}|};
+         {|{"t":0,"seq":6,"pid":1,"cat":"refmon","action":"deny","args":{"what":"path /etc/shadow (r)","sandbox":1}}|};
+         {|{"t":0,"seq":7,"pid":1,"cat":"refmon","action":"allow","args":{"target":"port 8080 (bind)","rule":"net.bind 8000-8100","sandbox":1,"cached":0}}|} ]
+    ^ "\n")
+    (Audit.to_jsonl ~cat:Audit.Refmon k.K.audit)
+
 let test_denials_always_audited () =
   let k, _mon, pico = monitored_kernel () in
   check_bool "denied" false (k.K.lsm.K.check_path pico "/etc/shadow" `Read);
@@ -283,6 +312,7 @@ let suite =
     case "cross-sandbox delivery caught" test_cross_sandbox_delivery_caught;
     case "cached allow keeps rule provenance" test_cached_allow_keeps_provenance;
     case "denials always audited" test_denials_always_audited;
+    case "refmon allow export is exact" test_allow_export_is_exact;
     case "same seed, same faults: identical JSONL" test_deterministic_jsonl;
     case "chaos run holds every invariant" test_chaos_run_holds_invariants;
     case "introspection snapshot" test_introspection_snapshot ]

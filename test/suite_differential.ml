@@ -207,5 +207,34 @@ let time_shape_case =
       check_str "graphene (vDSO+ring off)" time_expected (run ~cfg:off W.Graphene);
       check_str "graphene-rm" time_expected (run W.Graphene_rm))
 
+(* {1 Malformed system calls}
+
+   A call with too few arguments is the guest's mistake, not the
+   simulator's: every stack answers -EINVAL and the guest carries on. *)
+
+let missing_args_prog =
+  let open B in
+  let show call = sys "print" [ str_of_int call; str ";" ] in
+  prog ~name:"/bin/shortargs"
+    (seq
+       [ show (sys "open" []);
+         show (sys "write" [ int 1 ]);
+         show (sys "unlink" []);
+         show (sys "kill" [ int 1 ]);
+         sys "exit" [ int 0 ] ])
+
+let missing_args_case =
+  case "missing syscall arguments: -EINVAL on every stack" (fun () ->
+      let run stack =
+        let r = run_prog ~stack missing_args_prog in
+        expect_exit r;
+        r.out ()
+      in
+      let expected = "-22;-22;-22;-22;" in
+      check_str "native linux" expected (run W.Linux);
+      check_str "graphene" expected (run W.Graphene);
+      check_str "graphene-rm" expected (run W.Graphene_rm))
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ shell_prop; fs_prop ] @ [ time_shape_case ]
+  List.map QCheck_alcotest.to_alcotest [ shell_prop; fs_prop ]
+  @ [ time_shape_case; missing_args_case ]

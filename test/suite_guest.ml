@@ -55,7 +55,21 @@ let arith_tests =
         match eval (split (str "a b  c") (str " ")) with
         | Ast.Vlist [ Ast.Vstr "a"; Ast.Vstr "b"; Ast.Vstr ""; Ast.Vstr "c" ] -> ()
         | v -> Alcotest.failf "got %s" (Ast.value_to_string v));
-    case "nth bounds fault" (fun () -> eval_fault (nth (list_ [ int 1 ]) (int 3))) ]
+    case "nth bounds fault" (fun () -> eval_fault (nth (list_ [ int 1 ]) (int 3)));
+    case "nth with a negative index faults" (fun () ->
+        eval_fault (nth (list_ [ int 1 ]) (int (-1))));
+    case "repeat for every operand length" (fun () ->
+        Util.check_str "len 0" "" (eval_str (repeat (str "") (int 5)));
+        Util.check_str "len 0, huge count" "" (eval_str (repeat (str "") (int max_int)));
+        Util.check_str "len 1" "xxxx" (eval_str (repeat (str "x") (int 4)));
+        Util.check_str "len 3" "abcabcabc" (eval_str (repeat (str "abc") (int 3)));
+        Util.check_str "n = 0" "" (eval_str (repeat (str "abc") (int 0)));
+        check_int "64 KiB chunk" 65536 (eval_int (len (repeat (str "w") (int 65536)))));
+    case "repeat past the string limit faults" (fun () ->
+        eval_fault (repeat (str "ab") (int max_int));
+        eval_fault (repeat (str "x") (int max_int));
+        eval_fault (repeat (str "abc") (int (Sys.max_string_length / 3 + 1)));
+        eval_fault (repeat (str "x") (int (-1)))) ]
 
 let control_tests =
   [ case "let binds lexically" (fun () ->
@@ -409,7 +423,67 @@ let edge_tests =
         | Ast.Vlist [ Ast.Vstr "a"; Ast.Vstr "b"; Ast.Vstr "c" ] -> ()
         | v -> Alcotest.failf "got %s" (Ast.value_to_string v)) ]
 
+(* {1 Step accounting}
+
+   [run ~fuel:k] writes the step count once, into the state it returns;
+   it must agree with [k] single [step]s on the count and the status,
+   however the run ends. *)
+
+let rec step_n st k =
+  if k = 0 then Interp.Running st
+  else
+    match Interp.step st with
+    | Interp.Running st' -> step_n st' (k - 1)
+    | other -> other
+
+let status_shape = function
+  | Interp.Running st -> Printf.sprintf "running @%d" (Interp.steps_executed st)
+  | Interp.Compute (n, st) -> Printf.sprintf "compute %d @%d" n (Interp.steps_executed st)
+  | Interp.Syscall (name, args, st) ->
+    Printf.sprintf "syscall %s/%d @%d" name (List.length args) (Interp.steps_executed st)
+  | Interp.Finished v -> "finished " ^ Ast.value_to_string v
+  | Interp.Fault m -> "fault " ^ m
+
+let check_run_matches_steps label st =
+  List.iter
+    (fun k ->
+      Util.check_str
+        (Printf.sprintf "%s, fuel %d" label k)
+        (status_shape (step_n st k))
+        (status_shape (Interp.run st ~fuel:k)))
+    [ 0; 1; 2; 3; 5; 8; 13; 40; 1000 ]
+
+let step_count_tests =
+  let start e = Interp.start (prog ~name:"/t" e) ~argv:[] in
+  let ends_in label e expected =
+    let st = start e in
+    Util.check_bool (label ^ " ends as expected") true
+      (String.starts_with ~prefix:expected (status_shape (Interp.run st ~fuel:1000)));
+    check_run_matches_steps label st
+  in
+  [ case "run ~fuel:k agrees with k steps" (fun () ->
+        ends_in "out of fuel"
+          (let_ "i" (int 0) (while_ (int 1) (set "i" (v "i" +% int 1))))
+          "running";
+        ends_in "syscall" (let_ "x" (int 1 +% int 2) (sys "probe" [ v "x"; int 4 ])) "syscall";
+        ends_in "compute" (seq [ int 1 +% int 1; spin (int 9); int 0 ]) "compute";
+        ends_in "finished" (let_ "x" (int 1 +% int 2) (v "x" *% int 2)) "finished";
+        ends_in "fault" (int 1 +% (int 2 /% int 0)) "fault");
+    case "step counts carry across resume" (fun () ->
+        let e = let_ "a" (sys "probe" []) (seq [ spin (int 3); v "a" +% int 1 ]) in
+        match Interp.run (start e) ~fuel:1000 with
+        | Interp.Syscall ("probe", [], st) ->
+          let resumed = Interp.resume st (Ast.Vint 1) in
+          check_int "resume keeps the count" (Interp.steps_executed st)
+            (Interp.steps_executed resumed);
+          (match Interp.step resumed with
+          | Interp.Running st' ->
+            check_int "step adds one" (Interp.steps_executed st + 1) (Interp.steps_executed st')
+          | s -> Alcotest.failf "expected running, got %s" (status_shape s));
+          check_run_matches_steps "resumed" resumed
+        | s -> Alcotest.failf "expected probe, got %s" (status_shape s)) ]
+
 let suite =
   arith_tests @ control_tests @ func_tests @ syscall_tests @ fork_semantics_tests
-  @ serialize_tests @ interrupt_tests @ call_stack_tests @ edge_tests
+  @ serialize_tests @ interrupt_tests @ call_stack_tests @ edge_tests @ step_count_tests
   @ List.map QCheck_alcotest.to_alcotest [ arith_prop; roundtrip_prop ]

@@ -175,6 +175,48 @@ let mem_tests =
         ignore (Memory.map_resident a ~base:0x1000 ~npages:5 ~perm:Memory.rw ~kind:Memory.Heap);
         Memory.destroy a;
         check_int "freed" 0 (Memory.system_bytes alloc));
+    case "write_bytes fills non-resident pages written whole" (fun () ->
+        let _, m = fresh_mem () in
+        ignore (Memory.map m ~base:0x1000 ~npages:3 ~perm:Memory.rw ~kind:Memory.Heap);
+        let s = String.init (2 * Memory.page_size) (fun i -> Char.chr (i * 7 mod 256)) in
+        check_int "no cow" 0 (Memory.write_bytes m 0x1000 s);
+        check_str "read back" s (Memory.read_bytes m 0x1000 (String.length s));
+        check_int "two pages resident" (2 * Memory.page_size) (Memory.rss m));
+    case "write_bytes leaves the rest of a fresh page zero" (fun () ->
+        let _, m = fresh_mem () in
+        ignore (Memory.map m ~base:0x1000 ~npages:2 ~perm:Memory.rw ~kind:Memory.Heap);
+        (* straddles the boundary: the tail of page 0, the head of page 1 *)
+        let off = Memory.page_size - 3 in
+        ignore (Memory.write_bytes m (0x1000 + off) "abcdef");
+        let expect = Bytes.make (2 * Memory.page_size) '\000' in
+        Bytes.blit_string "abcdef" 0 expect off 6;
+        check_str "zeros around the write" (Bytes.to_string expect)
+          (Memory.read_bytes m 0x1000 (2 * Memory.page_size)));
+    case "write_bytes copies each shared page once" (fun () ->
+        let alloc, a = fresh_mem () in
+        let b = Memory.create alloc in
+        ignore (Memory.map_resident a ~base:0x1000 ~npages:3 ~perm:Memory.rw ~kind:Memory.Heap);
+        let old = String.make (3 * Memory.page_size) 'p' in
+        ignore (Memory.write_bytes a 0x1000 old);
+        ignore (Memory.share_all ~src:a ~dst:b);
+        (* page 0 whole, page 1 partly, page 2 untouched *)
+        let s = String.make (Memory.page_size + 10) 'c' in
+        check_int "two copies" 2 (Memory.write_bytes b 0x1000 s);
+        check_int "no more copies once private" 0 (Memory.write_bytes b 0x1000 s);
+        check_int "cow count" 2 (Memory.cow_faults b);
+        check_str "parent intact" old (Memory.read_bytes a 0x1000 (String.length old));
+        check_str "child view"
+          (s ^ String.make ((2 * Memory.page_size) - 10) 'p')
+          (Memory.read_bytes b 0x1000 (3 * Memory.page_size)));
+    case "write_bytes crosses adjacent regions and faults at a gap" (fun () ->
+        let _, m = fresh_mem () in
+        ignore (Memory.map m ~base:0x1000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Heap);
+        ignore (Memory.map m ~base:0x2000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Mmap);
+        let s = String.make (2 * Memory.page_size) 'z' in
+        ignore (Memory.write_bytes m 0x1000 s);
+        check_str "both regions" s (Memory.read_bytes m 0x1000 (String.length s));
+        Alcotest.check_raises "gap" (Memory.Fault 0x3000) (fun () ->
+            ignore (Memory.write_bytes m 0x2000 s)));
     case "protect changes permissions" (fun () ->
         let _, m = fresh_mem () in
         ignore (Memory.map m ~base:0x1000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Heap);
