@@ -8,13 +8,22 @@ type control =
   | Ret of value
   | Await  (** suspended on a syscall, waiting for [resume] *)
 
-(* Frames never capture the environment except [KRestore]: every
-   transition that extends the environment (Let, Call) pushes a
-   KRestore of the previous one, so the environment in the state is
-   always the right one when any other frame resumes. *)
+(* Frames never capture the environment except the two scope frames,
+   KRestore and KReturn: every transition that extends the environment
+   (Let, Match, Call) pushes one of them holding the previous
+   environment, so the environment in the state is always the right
+   one when any other frame resumes.
+
+   Both scope frames also record the store watermark ([next_loc]) at
+   their push. When one pops, every location at or above it is freed
+   and [next_loc] goes back to it, so the store holds only live
+   bindings and a checkpoint carries no dead ones. This is sound
+   because no value holds a location ([Ast.value] is plain data), and
+   every older frame and environment was built before the scope's
+   locations existed. *)
 type frame =
-  | KRestore of int Env.t
-  | KReturn of int Env.t
+  | KRestore of int Env.t * int
+  | KReturn of int Env.t * int
       (** function return: restore the caller's environment and pop the
           call stack (KRestore without the stack pop is for Let/Match
           scopes, which are not calls) *)
@@ -82,6 +91,12 @@ let bind st x v =
   let env = Env.add x loc st.env in
   let store = Store.add loc v st.store in
   (env, store, loc + 1)
+
+(* Leave a scope: restore the environment it extended and free the
+   locations it allocated, those from [mark] up to [next_loc]. *)
+let end_scope st env mark =
+  let rec free store loc = if loc < mark then store else free (Store.remove loc store) (loc - 1) in
+  { st with env; store = free st.store (st.next_loc - 1); next_loc = mark }
 
 let assign st x v =
   match Env.find_opt x st.env with
@@ -199,7 +214,7 @@ let enter_call st fname arg_values =
     env;
     store;
     next_loc;
-    kont = KReturn saved_env :: st.kont;
+    kont = KReturn (saved_env, st.next_loc) :: st.kont;
     stack = fname :: st.stack }
 
 (* One small step. The step counter is not touched here: [step] and
@@ -241,10 +256,10 @@ let step_unsafe st =
     | frame :: kont -> (
       let st = { st with kont } in
       match frame with
-      | KRestore env -> Running { st with env }
-      | KReturn env ->
-        Running
-          { st with env; stack = (match st.stack with _ :: (_ :: _ as r) -> r | s -> s) }
+      | KRestore (env, mark) -> Running (end_scope st env mark)
+      | KReturn (env, mark) ->
+        let st = end_scope st env mark in
+        Running { st with stack = (match st.stack with _ :: (_ :: _ as r) -> r | s -> s) }
       | KLet (x, body) ->
         let env, store, next_loc = bind st x v in
         Running
@@ -253,7 +268,7 @@ let step_unsafe st =
             env;
             store;
             next_loc;
-            kont = KRestore st.env :: st.kont }
+            kont = KRestore (st.env, st.next_loc) :: st.kont }
       | KSet x -> Running { st with control = Ret Vunit; store = assign st x v }
       | KSeq e2 -> Running { st with control = Eval e2 }
       | KIf (t, f) -> Running { st with control = Eval (if truthy v then t else f) }
@@ -290,7 +305,7 @@ let step_unsafe st =
               env;
               store;
               next_loc;
-              kont = KRestore st.env :: st.kont })
+              kont = KRestore (st.env, st.next_loc) :: st.kont })
       | KCall (f, done_, todo) -> (
         match todo with
         | [] -> Running (enter_call st f (List.rev (v :: done_)))

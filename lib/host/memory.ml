@@ -22,7 +22,14 @@ type kind =
   | Mmap
   | Stack
 
-type frame = { fid : int; mutable refcount : int; data : bytes }
+(* A frame that was never written reads from [zero_page], which is
+   shared by every such frame and never written itself; the frame gets
+   its own 4 KiB just before its first write ([page_frame ~write]).
+   Payloads are host storage only: residency, refcounts and every
+   modeled number are the same as if each frame owned its bytes. *)
+type frame = { fid : int; mutable refcount : int; mutable data : bytes }
+
+let zero_page = Bytes.make page_size '\000'
 
 type region = {
   base : int;
@@ -54,7 +61,7 @@ let frame_of alloc data =
   alloc.live_frames <- alloc.live_frames + 1;
   { fid = alloc.next_fid; refcount = 1; data }
 
-let new_frame alloc = frame_of alloc (Bytes.make page_size '\000')
+let new_frame alloc = frame_of alloc zero_page
 
 let drop_frame alloc frame =
   frame.refcount <- frame.refcount - 1;
@@ -103,23 +110,28 @@ let accessible_region t addr ~write =
   r
 
 (* Page [idx] of [r], made resident; on a write to a shared frame, the
-   share is broken with a private copy. A fresh page the caller is
-   about to overwrite [whole] is not zero-filled first. *)
+   share is broken with a private copy, and a frame still on the zero
+   page gets its own bytes. A page the caller is about to overwrite
+   [whole] is not zero-filled first. *)
 let page_frame t r idx ~write ~whole =
-  match r.frames.(idx) with
-  | None ->
-    let frame =
-      if whole then frame_of t.alloc (Bytes.create page_size) else new_frame t.alloc
-    in
-    r.frames.(idx) <- Some frame;
-    frame
-  | Some frame when write && frame.refcount > 1 ->
-    let copy = frame_of t.alloc (Bytes.copy frame.data) in
-    drop_frame t.alloc frame;
-    r.frames.(idx) <- Some copy;
-    t.cow_faults <- t.cow_faults + 1;
-    copy
-  | Some frame -> frame
+  let frame =
+    match r.frames.(idx) with
+    | None ->
+      let frame = new_frame t.alloc in
+      r.frames.(idx) <- Some frame;
+      frame
+    | Some frame when write && frame.refcount > 1 ->
+      let data = if whole || frame.data == zero_page then zero_page else Bytes.copy frame.data in
+      let copy = frame_of t.alloc data in
+      drop_frame t.alloc frame;
+      r.frames.(idx) <- Some copy;
+      t.cow_faults <- t.cow_faults + 1;
+      copy
+    | Some frame -> frame
+  in
+  if write && frame.data == zero_page then
+    frame.data <- (if whole then Bytes.create page_size else Bytes.make page_size '\000');
+  frame
 
 (* Make the page containing [addr] resident; on a write to a shared
    frame, break the share with a private copy. *)

@@ -41,7 +41,9 @@ type waiter =
 type msgq = {
   mq_id : int;
   mq_key : int;
-  mutable contents : string list;  (** FIFO, head = oldest *)
+  contents : string Queue.t;
+      (** FIFO, oldest first; a [string list] in the same order at the
+          two boundaries, the migration reply and the persisted file *)
   mutable rwaiters : waiter list;
   recv_stats : (string, int) Hashtbl.t;
   mutable accessors : string list;  (** addresses to tell about deletion *)
@@ -850,9 +852,8 @@ and handle_request t ep ~origin reqid req =
         (* grant ownership: answer the receive and ship the rest; a
            forwarding lease stays behind so later operations that
            still reach us get the typed conflict answer *)
-        let data, rest =
-          match q.contents with [] -> (None, []) | m :: rest -> (Some m, rest)
-        in
+        let data = Queue.take_opt q.contents in
+        let rest = List.of_seq (Queue.to_seq q.contents) in
         Hashtbl.remove t.msgqs id;
         coord_disown t id;
         coord_lease t Coord.Sysv id requester;
@@ -860,11 +861,9 @@ and handle_request t ep ~origin reqid req =
         reply (Wire.R_msg_migrate { data; contents = rest })
       end
       else begin
-        match q.contents with
-        | m :: rest ->
-          q.contents <- rest;
-          reply (Wire.R_msg { data = m })
-        | [] ->
+        match Queue.take_opt q.contents with
+        | Some m -> reply (Wire.R_msg { data = m })
+        | None ->
           q.rwaiters <- q.rwaiters @ [ Remote { ep; reqid; requester } ];
           Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" id)
             ~depth:(List.length q.rwaiters)
@@ -1093,7 +1092,7 @@ and note_accessor q addr = if not (List.mem addr q.accessors) then q.accessors <
 
 and enqueue t q data =
   match q.rwaiters with
-  | [] -> q.contents <- q.contents @ [ data ]
+  | [] -> Queue.push data q.contents
   | w :: rest ->
     q.rwaiters <- rest;
     Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" q.mq_id)
@@ -1453,7 +1452,7 @@ let new_local_queue t ~id ~key =
   let q =
     { mq_id = id;
       mq_key = key;
-      contents = [];
+      contents = Queue.create ();
       rwaiters = [];
       recv_stats = Hashtbl.create 4;
       accessors = [] }
@@ -1475,7 +1474,7 @@ let load_persistent_queue t ~id ~key k =
           Pal.stream_delete t.pal ("file:" ^ persist_path id) (fun _ -> ());
           let contents : string list = try Marshal.from_string data 0 with _ -> [] in
           let q = new_local_queue t ~id ~key in
-          q.contents <- contents;
+          List.iter (fun m -> Queue.push m q.contents) contents;
           notify_leader_owner t `Msgq id t.my_addr;
           k (Ok ())))
 
@@ -1642,11 +1641,9 @@ and msgrcv_once t ~id k =
   else
     match Hashtbl.find_opt t.msgqs id with
     | Some q -> (
-      match q.contents with
-      | m :: rest ->
-        q.contents <- rest;
-        k (Ok m)
-      | [] ->
+      match Queue.take_opt q.contents with
+      | Some m -> k (Ok m)
+      | None ->
         q.rwaiters <- q.rwaiters @ [ Local k ];
         Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" id)
           ~depth:(List.length q.rwaiters))
@@ -1666,7 +1663,7 @@ and msgrcv_once t ~id k =
                 (* we are the owner now; the Held acquire inside
                    new_local_queue drops any stale lease atomically *)
                 let q = new_local_queue t ~id ~key:0 in
-                q.contents <- contents;
+                List.iter (fun m -> Queue.push m q.contents) contents;
                 notify_leader_owner t `Msgq id t.my_addr;
                 (match data with
                 | Some m -> k (Ok m)
@@ -1701,8 +1698,8 @@ let persist_owned_queues t =
   let owned = Hashtbl.fold (fun _ q acc -> q :: acc) t.msgqs [] in
   List.iter
     (fun q ->
-      if q.contents <> [] then begin
-        let data = Marshal.to_string q.contents [] in
+      if not (Queue.is_empty q.contents) then begin
+        let data = Marshal.to_string (List.of_seq (Queue.to_seq q.contents)) [] in
         Pal.directory_create t.pal ("dir:" ^ persist_dir) (fun _ -> ());
         Pal.stream_open t.pal ("file:" ^ persist_path q.mq_id) ~write:true ~create:true
           (function

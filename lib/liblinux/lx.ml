@@ -1496,7 +1496,7 @@ and do_clone lx th fname arg =
          (address space, fd table, signal handlers) *)
       let gtid = lx.pid + lx.next_tid_seq in
       lx.next_tid_seq <- lx.next_tid_seq + 1;
-      let prog = machine_program m in
+      let prog = Interp.program_of_state m in
       let tm = Interp.start { prog with Ast.main = Ast.Call (fname, [ Ast.Const arg ]) } ~argv:[] in
       Pal.thread_create lx.pal tm (function
         | Ok host_th ->
@@ -1505,16 +1505,6 @@ and do_clone lx th fname arg =
           finish lx th ~cost:(Time.us 18.) (vint gtid)
         | Error e -> fail lx th e)
     end
-
-and machine_program m =
-  (* recover the program from a machine image: serialize-free access is
-     not exposed by Interp, so thread creation reuses the program the
-     exec loaded; we keep it in the machine itself via a round-trip *)
-  let bytes = Interp.to_bytes m in
-  let m' = Interp.of_bytes bytes in
-  ignore m';
-  (* Interp exposes the program via exec below; see Interp.program *)
-  Interp.program_of_state m
 
 (* {2 fork} *)
 

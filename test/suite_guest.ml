@@ -483,7 +483,106 @@ let step_count_tests =
           check_run_matches_steps "resumed" resumed
         | s -> Alcotest.failf "expected probe, got %s" (status_shape s)) ]
 
+(* {1 Scope lifetime}
+
+   A binding lives until its scope ends; the machine image a checkpoint
+   ships carries only live bindings. [state_size] also encodes the step
+   counter, whose Marshal width grows at 64, 128 and 32768 steps, so
+   each program first runs a warm-up loop that puts the count past 128
+   before anything is measured. *)
+
+let warm_up e = seq [ for_ "w" (int 1) (int 40) unit; e ]
+
+(* Drive a machine to its end, answering syscalls with [answer]; a
+   machine that exits or finishes stops the drive. *)
+let drive st answer =
+  let rec go st =
+    match Interp.run st ~fuel:1_000_000 with
+    | Interp.Syscall ("exit", _, _) | Interp.Finished _ -> ()
+    | Interp.Syscall (name, args, st') -> go (Interp.resume st' (answer name args st'))
+    | Interp.Running st' | Interp.Compute (_, st') -> go st'
+    | Interp.Fault m -> Alcotest.failf "fault: %s" m
+  in
+  go st
+
+let scope_tests =
+  [ case "a loop that binds in its body keeps a constant image" (fun () ->
+        let body = let_ "x" (sys "probe" []) (let_ "y" (v "x" +% int 1) unit) in
+        let program = prog ~name:"/t" (warm_up (while_ (sys "more" []) body)) in
+        let sizes = ref [] and iters = ref 0 in
+        drive (Interp.start program ~argv:[]) (fun name _ st ->
+            match name with
+            | "more" ->
+              incr iters;
+              Ast.Vbool (!iters <= 1000)
+            | _ ->
+              sizes := Interp.state_size st :: !sizes;
+              Ast.Vint 7);
+        let sizes = List.rev !sizes in
+        check_int "probes" 1000 (List.length sizes);
+        check_int "1st vs 1000th" (List.hd sizes) (List.nth sizes 999));
+    case "the shell's fork image does not grow with the script" (fun () ->
+        (* 60 lines: ten rounds of the six Unix utilities; each command
+           forks with the same live bindings every round *)
+        let script = Graphene_apps.Shell.utils_script ~iterations:10 in
+        let unread = ref true and forks = ref [] in
+        drive
+          (Interp.start Graphene_apps.Shell.sh ~argv:[ "/script.sh" ])
+          (fun name _ st ->
+            match name with
+            | "read" ->
+              let text = if !unread then script else "" in
+              unread := false;
+              Ast.Vstr text
+            | "fork" ->
+              forks := Interp.state_size st :: !forks;
+              Ast.Vint 42
+            | _ -> Ast.Vint 3);
+        let forks = Array.of_list (List.rev !forks) in
+        check_int "one fork per line" 60 (Array.length forks);
+        Array.iteri
+          (fun i size -> check_int (Printf.sprintf "fork %d" i) forks.(i mod 6) size)
+          forks);
+    case "an interrupt's bindings end with its handler" (fun () ->
+        let program =
+          prog ~name:"/t"
+            ~funcs:
+              [ func "h" [ "sig" ] (let_ "t" (v "sig" *% int 2) (call "g" [ v "t" ]));
+                func "g" [ "x" ] (let_ "u" (v "x" +% int 1) (sys "note" [ v "u" ])) ]
+            (warm_up
+               (let_ "a" (int 5)
+                  (let_ "b" (str "bee")
+                     (let_ "c" (sys "probe" []) (sys "after" [ v "a"; v "b"; v "c" ])))))
+        in
+        match Interp.run (Interp.start program ~argv:[]) ~fuel:10_000 with
+        | Interp.Syscall ("probe", [], st) -> (
+          let before = Interp.resume st (Ast.Vint 7) in
+          let size = Interp.state_size before in
+          match Interp.run (Interp.interrupt before ~func:"h" ~args:[ Ast.Vint 3 ]) ~fuel:1000 with
+          | Interp.Syscall ("note", [ Ast.Vint 7 ], st) ->
+            Util.check_bool "handler bindings are live" true (Interp.state_size st > size);
+            (* step until the handler's frame pops, then once more to
+               leave its resume frame: the machine is back where the
+               interrupt found it *)
+            let rec back st =
+              match Interp.step st with
+              | Interp.Running st' when Interp.call_stack st' = [ "main" ] -> (
+                match Interp.step st' with
+                | Interp.Running st'' -> st''
+                | _ -> Alcotest.fail "expected the resume step")
+              | Interp.Running st' -> back st'
+              | _ -> Alcotest.fail "handler did not return"
+            in
+            let after = back (Interp.resume st Ast.Vunit) in
+            check_int "image as before the interrupt" size (Interp.state_size after);
+            (match Interp.run after ~fuel:1000 with
+            | Interp.Syscall ("after", [ Ast.Vint 5; Ast.Vstr "bee"; Ast.Vint 7 ], _) -> ()
+            | _ -> Alcotest.fail "outer bindings changed")
+          | _ -> Alcotest.fail "expected the handler's syscall")
+        | _ -> Alcotest.fail "expected suspension") ]
+
 let suite =
   arith_tests @ control_tests @ func_tests @ syscall_tests @ fork_semantics_tests
   @ serialize_tests @ interrupt_tests @ call_stack_tests @ edge_tests @ step_count_tests
+  @ scope_tests
   @ List.map QCheck_alcotest.to_alcotest [ arith_prop; roundtrip_prop ]

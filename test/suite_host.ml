@@ -225,6 +225,84 @@ let mem_tests =
         Alcotest.check_raises "now ro" (Memory.Fault 0x1000) (fun () ->
             ignore (Memory.touch m 0x1000 ~write:true))) ]
 
+(* {2 Lazy frame payloads}
+
+   A never-written frame reads from a shared zero page and gets its own
+   4 KiB on its first write; only host storage may notice. *)
+
+(* Host bytes allocated while [f] runs. *)
+let allocated_during f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (Gc.allocated_bytes () -. before, r)
+
+let zeros n = String.make n '\000'
+
+let lazy_frame_tests =
+  [ case "a never-written resident frame reads back zeros" (fun () ->
+        let alloc, m = fresh_mem () in
+        ignore (Memory.map_resident m ~base:0x1000 ~npages:4 ~perm:Memory.rw ~kind:Memory.Heap);
+        check_str "resident zeros" (zeros (4 * Memory.page_size))
+          (Memory.read_bytes m 0x1000 (4 * Memory.page_size));
+        let img = Memory.make_image alloc ~bytes:(2 * Memory.page_size) in
+        ignore (Memory.map_image m ~base:0x10000 ~image:img ~perm:Memory.rx ~kind:Memory.App_image);
+        check_str "image zeros" (zeros (2 * Memory.page_size))
+          (Memory.read_bytes m 0x10000 (2 * Memory.page_size)));
+    case "one write gives only that frame its own bytes" (fun () ->
+        let _, m = fresh_mem () in
+        let npages = 64 in
+        let mapped, _ =
+          allocated_during (fun () ->
+              Memory.map_resident m ~base:0x1000 ~npages ~perm:Memory.rw ~kind:Memory.Heap)
+        in
+        check_bool "mapping allocates no payloads" true
+          (mapped < float_of_int (npages * Memory.page_size / 8));
+        let page5 = 0x1000 + (5 * Memory.page_size) in
+        let wrote, _ = allocated_during (fun () -> Memory.write_bytes m (page5 + 9) "x") in
+        check_bool "one payload" true
+          (wrote >= float_of_int Memory.page_size && wrote < float_of_int (2 * Memory.page_size));
+        let rewrote, _ = allocated_during (fun () -> Memory.write_bytes m page5 "y") in
+        check_bool "no second payload" true (rewrote < float_of_int Memory.page_size);
+        let expect = Bytes.make (npages * Memory.page_size) '\000' in
+        Bytes.set expect (5 * Memory.page_size) 'y';
+        Bytes.set expect ((5 * Memory.page_size) + 9) 'x';
+        check_str "only that page changed" (Bytes.to_string expect)
+          (Memory.read_bytes m 0x1000 (npages * Memory.page_size)));
+    case "a COW break of a never-written frame counts one fault" (fun () ->
+        let alloc, a = fresh_mem () in
+        let b = Memory.create alloc in
+        ignore (Memory.map_resident a ~base:0x1000 ~npages:2 ~perm:Memory.rw ~kind:Memory.Heap);
+        ignore (Memory.share_all ~src:a ~dst:b);
+        check_int "one copy" 1 (Memory.write_bytes b 0x1000 "child");
+        check_int "one fault" 1 (Memory.cow_faults b);
+        check_int "none in the other holder" 0 (Memory.cow_faults a);
+        check_str "other holder reads zeros" (zeros (2 * Memory.page_size))
+          (Memory.read_bytes a 0x1000 (2 * Memory.page_size));
+        check_str "writer's view" ("child" ^ zeros ((2 * Memory.page_size) - 5))
+          (Memory.read_bytes b 0x1000 (2 * Memory.page_size)));
+    case "rss, pss and system bytes do not see lazy frames" (fun () ->
+        (* the same mappings and shares, with and without every page
+           written *)
+        let footprint ~written =
+          let alloc, a = fresh_mem () in
+          let b = Memory.create alloc in
+          ignore (Memory.map_resident a ~base:0x1000 ~npages:4 ~perm:Memory.rw ~kind:Memory.Heap);
+          ignore (Memory.map a ~base:0x8000 ~npages:4 ~perm:Memory.rw ~kind:Memory.Mmap);
+          ignore (Memory.touch a 0x8000 ~write:false);
+          if written then
+            ignore (Memory.write_bytes a 0x1000 (String.make (4 * Memory.page_size) 'w'));
+          ignore (Memory.share_all ~src:a ~dst:b);
+          ignore (Memory.write_bytes b 0x2000 "b");
+          [ Memory.rss a; Memory.pss a; Memory.rss b; Memory.pss b; Memory.system_bytes alloc ]
+        in
+        let lazy_ = footprint ~written:false in
+        Alcotest.(check (list int)) "same footprint" (footprint ~written:true) lazy_;
+        Alcotest.(check (list int))
+          "values"
+          [ 5 * Memory.page_size; 3 * Memory.page_size; 5 * Memory.page_size;
+            3 * Memory.page_size; 6 * Memory.page_size ]
+          lazy_) ]
+
 (* COW invariant: after sharing and arbitrary writes on both sides,
    each side reads back exactly what it last wrote. *)
 let cow_prop =
@@ -524,6 +602,6 @@ let ordering_tests =
 let suite =
   ordering_tests @ vfs_tests
   @ [ QCheck_alcotest.to_alcotest vfs_rw_prop ]
-  @ mem_tests
+  @ mem_tests @ lazy_frame_tests
   @ [ QCheck_alcotest.to_alcotest cow_prop ]
   @ stream_tests @ sync_tests @ kernel_tests
