@@ -81,28 +81,6 @@ let start program ~argv =
     steps = 0;
     stack = [ "main" ] }
 
-let lookup st x =
-  match Env.find_opt x st.env with
-  | Some loc -> Store.find loc st.store
-  | None -> raise (Guest_fault ("unbound variable " ^ x))
-
-let bind st x v =
-  let loc = st.next_loc in
-  let env = Env.add x loc st.env in
-  let store = Store.add loc v st.store in
-  (env, store, loc + 1)
-
-(* Leave a scope: restore the environment it extended and free the
-   locations it allocated, those from [mark] up to [next_loc]. *)
-let end_scope st env mark =
-  let rec free store loc = if loc < mark then store else free (Store.remove loc store) (loc - 1) in
-  { st with env; store = free st.store (st.next_loc - 1); next_loc = mark }
-
-let assign st x v =
-  match Env.find_opt x st.env with
-  | Some loc -> Store.add loc v st.store
-  | None -> raise (Guest_fault ("assignment to unbound variable " ^ x))
-
 (* Split [s] on the (non-empty) separator string [sep]. *)
 let split_on_string s sep =
   let seplen = String.length sep in
@@ -188,160 +166,151 @@ let apply_unop op v =
   | Snd -> ( match v with Vpair (_, b) -> b | _ -> raise (Guest_fault "Snd: expected pair"))
   | Is_empty -> Vbool (as_list v = [])
 
+(* Leaving a scope frees its locations, from the top [loc] down to the
+   scope's watermark [mark]. *)
+let rec free store loc mark =
+  if loc < mark then store else free (Store.remove loc store) (loc - 1) mark
+
 let find_func program name =
   match List.assoc_opt name program.funcs with
   | Some f -> f
   | None -> raise (Guest_fault ("undefined function " ^ name))
 
-let enter_call st fname arg_values =
-  let func = find_func st.program fname in
-  if List.length func.params <> List.length arg_values then
-    raise
-      (Guest_fault
-         (Printf.sprintf "%s expects %d arguments, got %d" fname
-            (List.length func.params) (List.length arg_values)));
-  let saved_env = st.env in
-  let env, store, next_loc =
-    List.fold_left2
-      (fun (env, store, next) param v ->
-        let loc = next in
-        (Env.add param loc env, Store.add loc v store, next + 1))
-      (Env.empty, st.store, st.next_loc)
-      func.params arg_values
-  in
-  { st with
-    control = Eval func.body;
-    env;
-    store;
-    next_loc;
-    kont = KReturn (saved_env, st.next_loc) :: st.kont;
-    stack = fname :: st.stack }
-
-(* One small step. The step counter is not touched here: [step] and
-   [run] write it once into the state they return, so a step costs one
-   state copy, not two. *)
-let step_unsafe st =
-  match st.control with
-  | Await -> invalid_arg "Interp.step: machine is awaiting a syscall result"
-  | Eval e -> (
-    match e with
-    | Const v -> Running { st with control = Ret v }
-    | Var x -> Running { st with control = Ret (lookup st x) }
-    | Let (x, e1, body) ->
-      Running { st with control = Eval e1; kont = KLet (x, body) :: st.kont }
-    | Set (x, e1) -> Running { st with control = Eval e1; kont = KSet x :: st.kont }
-    | If (c, t, f) -> Running { st with control = Eval c; kont = KIf (t, f) :: st.kont }
-    | While (c, body) ->
-      Running { st with control = Eval c; kont = KWhile (c, body) :: st.kont }
-    | Seq (e1, e2) -> Running { st with control = Eval e1; kont = KSeq e2 :: st.kont }
-    | And (e1, e2) -> Running { st with control = Eval e1; kont = KAnd e2 :: st.kont }
-    | Or (e1, e2) -> Running { st with control = Eval e1; kont = KOr e2 :: st.kont }
-    | Binop (op, e1, e2) ->
-      Running { st with control = Eval e1; kont = KBinop1 (op, e2) :: st.kont }
-    | Unop (op, e1) -> Running { st with control = Eval e1; kont = KUnop op :: st.kont }
-    | Cons (e1, e2) -> Running { st with control = Eval e1; kont = KCons1 e2 :: st.kont }
-    | Pair (e1, e2) -> Running { st with control = Eval e1; kont = KPair1 e2 :: st.kont }
-    | Match_list (e1, nil_case, cons_case) ->
-      Running { st with control = Eval e1; kont = KMatch (nil_case, cons_case) :: st.kont }
-    | Call (f, []) -> Running (enter_call st f [])
-    | Call (f, a :: rest) ->
-      Running { st with control = Eval a; kont = KCall (f, [], rest) :: st.kont }
-    | Syscall (name, []) -> Syscall (name, [], { st with control = Await })
-    | Syscall (name, a :: rest) ->
-      Running { st with control = Eval a; kont = KSys (name, [], rest) :: st.kont }
-    | Spin e1 -> Running { st with control = Eval e1; kont = KSpin :: st.kont })
-  | Ret v -> (
-    match st.kont with
-    | [] -> Finished v
-    | frame :: kont -> (
-      let st = { st with kont } in
-      match frame with
-      | KRestore (env, mark) -> Running (end_scope st env mark)
-      | KReturn (env, mark) ->
-        let st = end_scope st env mark in
-        Running { st with stack = (match st.stack with _ :: (_ :: _ as r) -> r | s -> s) }
-      | KLet (x, body) ->
-        let env, store, next_loc = bind st x v in
-        Running
-          { st with
-            control = Eval body;
-            env;
-            store;
-            next_loc;
-            kont = KRestore (st.env, st.next_loc) :: st.kont }
-      | KSet x -> Running { st with control = Ret Vunit; store = assign st x v }
-      | KSeq e2 -> Running { st with control = Eval e2 }
-      | KIf (t, f) -> Running { st with control = Eval (if truthy v then t else f) }
-      | KWhile (c, body) ->
-        if truthy v then
-          Running { st with control = Eval body; kont = KWhileBody (c, body) :: st.kont }
-        else Running { st with control = Ret Vunit }
-      | KWhileBody (c, body) ->
-        Running { st with control = Eval c; kont = KWhile (c, body) :: st.kont }
-      | KAnd e2 ->
-        if truthy v then Running { st with control = Eval e2 }
-        else Running { st with control = Ret (Vbool false) }
-      | KOr e2 ->
-        if truthy v then Running { st with control = Ret (Vbool true) }
-        else Running { st with control = Eval e2 }
-      | KBinop1 (op, e2) ->
-        Running { st with control = Eval e2; kont = KBinop2 (op, v) :: st.kont }
-      | KBinop2 (op, a) -> Running { st with control = Ret (apply_binop op a v) }
-      | KUnop op -> Running { st with control = Ret (apply_unop op v) }
-      | KCons1 e2 -> Running { st with control = Eval e2; kont = KCons2 v :: st.kont }
-      | KCons2 hd -> Running { st with control = Ret (Vlist (hd :: as_list v)) }
-      | KPair1 e2 -> Running { st with control = Eval e2; kont = KPair2 v :: st.kont }
-      | KPair2 a -> Running { st with control = Ret (Vpair (a, v)) }
-      | KMatch (nil_case, (h, t, cons_case)) -> (
-        match as_list v with
-        | [] -> Running { st with control = Eval nil_case }
-        | hd :: tl ->
-          let env, store, next_loc = bind st h hd in
-          let st' = { st with env; store; next_loc } in
-          let env, store, next_loc = bind st' t (Vlist tl) in
-          Running
-            { st' with
-              control = Eval cons_case;
-              env;
-              store;
-              next_loc;
-              kont = KRestore (st.env, st.next_loc) :: st.kont })
-      | KCall (f, done_, todo) -> (
-        match todo with
-        | [] -> Running (enter_call st f (List.rev (v :: done_)))
-        | a :: rest ->
-          Running { st with control = Eval a; kont = KCall (f, v :: done_, rest) :: st.kont })
-      | KSys (name, done_, todo) -> (
-        match todo with
-        | [] -> Syscall (name, List.rev (v :: done_), { st with control = Await })
-        | a :: rest ->
-          Running { st with control = Eval a; kont = KSys (name, v :: done_, rest) :: st.kont })
-      | KSpin ->
-        let n = as_int v in
-        if n < 0 then raise (Guest_fault "Spin: negative work")
-        else Compute (n, { st with control = Ret Vunit })
-      | KResume saved -> Running { st with control = saved }))
-
-let with_steps steps = function
-  | Running st -> Running { st with steps }
-  | Compute (n, st) -> Compute (n, { st with steps })
-  | Syscall (name, args, st) -> Syscall (name, args, { st with steps })
-  | (Finished _ | Fault _) as done_ -> done_
-
-let step st =
-  with_steps (st.steps + 1) (try step_unsafe st with Guest_fault msg -> Fault msg)
-
-(* The states between the first and the last step carry a stale step
-   count; none of them escapes, and [step_unsafe] never reads it. *)
+(* The machine runs in registers: [eval] and [ret] carry the state's
+   fields as arguments, together with the number of steps [taken] so
+   far, and a [state] record is built only where the run stops. Each
+   call of [eval] or [ret] is one small step; the fuel check comes
+   before it, so the state at a fuel boundary is the one single steps
+   would reach. *)
 let run st ~fuel =
-  let rec loop st' taken =
-    if taken = fuel then Running { st' with steps = st.steps + taken }
-    else
-      match step_unsafe st' with
-      | Running st' -> loop st' (taken + 1)
-      | other -> with_steps (st.steps + taken + 1) other
+  let program = st.program and steps = st.steps in
+  let stop control env store next_loc kont stack taken =
+    { control; env; store; next_loc; kont; program; steps = steps + taken; stack }
   in
-  try loop st 0 with Guest_fault msg -> Fault msg
+  let rec eval e env store next_loc kont stack taken =
+    if taken = fuel then Running (stop (Eval e) env store next_loc kont stack taken)
+    else
+      let taken = taken + 1 in
+      match e with
+      | Const v -> ret v env store next_loc kont stack taken
+      | Var x -> (
+        match Env.find x env with
+        | loc -> ret (Store.find loc store) env store next_loc kont stack taken
+        | exception Not_found -> raise (Guest_fault ("unbound variable " ^ x)))
+      | Let (x, e1, body) -> eval e1 env store next_loc (KLet (x, body) :: kont) stack taken
+      | Set (x, e1) -> eval e1 env store next_loc (KSet x :: kont) stack taken
+      | If (c, t, f) -> eval c env store next_loc (KIf (t, f) :: kont) stack taken
+      | While (c, body) -> eval c env store next_loc (KWhile (c, body) :: kont) stack taken
+      | Seq (e1, e2) -> eval e1 env store next_loc (KSeq e2 :: kont) stack taken
+      | And (e1, e2) -> eval e1 env store next_loc (KAnd e2 :: kont) stack taken
+      | Or (e1, e2) -> eval e1 env store next_loc (KOr e2 :: kont) stack taken
+      | Binop (op, e1, e2) -> eval e1 env store next_loc (KBinop1 (op, e2) :: kont) stack taken
+      | Unop (op, e1) -> eval e1 env store next_loc (KUnop op :: kont) stack taken
+      | Cons (e1, e2) -> eval e1 env store next_loc (KCons1 e2 :: kont) stack taken
+      | Pair (e1, e2) -> eval e1 env store next_loc (KPair1 e2 :: kont) stack taken
+      | Match_list (e1, nil_case, cons_case) ->
+        eval e1 env store next_loc (KMatch (nil_case, cons_case) :: kont) stack taken
+      | Call (f, []) -> call f [] env store next_loc kont stack taken
+      | Call (f, a :: rest) -> eval a env store next_loc (KCall (f, [], rest) :: kont) stack taken
+      | Syscall (name, []) -> Syscall (name, [], stop Await env store next_loc kont stack taken)
+      | Syscall (name, a :: rest) ->
+        eval a env store next_loc (KSys (name, [], rest) :: kont) stack taken
+      | Spin e1 -> eval e1 env store next_loc (KSpin :: kont) stack taken
+  and ret v env store next_loc kont stack taken =
+    if taken = fuel then Running (stop (Ret v) env store next_loc kont stack taken)
+    else
+      let taken = taken + 1 in
+      match kont with
+      | [] -> Finished v
+      | frame :: kont -> (
+        match frame with
+        | KRestore (env, mark) -> ret v env (free store (next_loc - 1) mark) mark kont stack taken
+        | KReturn (env, mark) ->
+          let stack = match stack with _ :: (_ :: _ as r) -> r | s -> s in
+          ret v env (free store (next_loc - 1) mark) mark kont stack taken
+        | KLet (x, body) ->
+          eval body (Env.add x next_loc env) (Store.add next_loc v store) (next_loc + 1)
+            (KRestore (env, next_loc) :: kont) stack taken
+        | KSet x -> (
+          match Env.find x env with
+          | loc -> ret Vunit env (Store.add loc v store) next_loc kont stack taken
+          | exception Not_found -> raise (Guest_fault ("assignment to unbound variable " ^ x)))
+        | KSeq e2 -> eval e2 env store next_loc kont stack taken
+        | KIf (t, f) -> eval (if truthy v then t else f) env store next_loc kont stack taken
+        | KWhile (c, body) ->
+          if truthy v then eval body env store next_loc (KWhileBody (c, body) :: kont) stack taken
+          else ret Vunit env store next_loc kont stack taken
+        | KWhileBody (c, body) -> eval c env store next_loc (KWhile (c, body) :: kont) stack taken
+        | KAnd e2 ->
+          if truthy v then eval e2 env store next_loc kont stack taken
+          else ret (Vbool false) env store next_loc kont stack taken
+        | KOr e2 ->
+          if truthy v then ret (Vbool true) env store next_loc kont stack taken
+          else eval e2 env store next_loc kont stack taken
+        | KBinop1 (op, e2) -> eval e2 env store next_loc (KBinop2 (op, v) :: kont) stack taken
+        | KBinop2 (op, a) -> ret (apply_binop op a v) env store next_loc kont stack taken
+        | KUnop op -> ret (apply_unop op v) env store next_loc kont stack taken
+        | KCons1 e2 -> eval e2 env store next_loc (KCons2 v :: kont) stack taken
+        | KCons2 hd -> ret (Vlist (hd :: as_list v)) env store next_loc kont stack taken
+        | KPair1 e2 -> eval e2 env store next_loc (KPair2 v :: kont) stack taken
+        | KPair2 a -> ret (Vpair (a, v)) env store next_loc kont stack taken
+        | KMatch (nil_case, (h, t, cons_case)) -> (
+          match as_list v with
+          | [] -> eval nil_case env store next_loc kont stack taken
+          | hd :: tl ->
+            let env' = Env.add t (next_loc + 1) (Env.add h next_loc env) in
+            let store' = Store.add (next_loc + 1) (Vlist tl) (Store.add next_loc hd store) in
+            eval cons_case env' store' (next_loc + 2) (KRestore (env, next_loc) :: kont) stack
+              taken)
+        | KCall (f, done_, todo) -> (
+          match todo with
+          | [] -> call f (List.rev (v :: done_)) env store next_loc kont stack taken
+          | a :: rest ->
+            eval a env store next_loc (KCall (f, v :: done_, rest) :: kont) stack taken)
+        | KSys (name, done_, todo) -> (
+          match todo with
+          | [] ->
+            let args = List.rev (v :: done_) in
+            Syscall (name, args, stop Await env store next_loc kont stack taken)
+          | a :: rest ->
+            eval a env store next_loc (KSys (name, v :: done_, rest) :: kont) stack taken)
+        | KSpin ->
+          let n = as_int v in
+          if n < 0 then raise (Guest_fault "Spin: negative work")
+          else Compute (n, stop (Ret Vunit) env store next_loc kont stack taken)
+        | KResume (Eval e) -> eval e env store next_loc kont stack taken
+        | KResume (Ret v) -> ret v env store next_loc kont stack taken
+        | KResume Await -> await env store next_loc kont stack taken)
+  (* A machine awaiting a syscall result can take no step. *)
+  and await env store next_loc kont stack taken =
+    if taken = fuel then Running (stop Await env store next_loc kont stack taken)
+    else invalid_arg "Interp.step: machine is awaiting a syscall result"
+  (* Enter [fname]: its parameters bound in a fresh environment, in
+     order, above a return frame holding the caller's environment. *)
+  and call fname args env store next_loc kont stack taken =
+    let func = find_func program fname in
+    if List.compare_lengths func.params args <> 0 then
+      raise
+        (Guest_fault
+           (Printf.sprintf "%s expects %d arguments, got %d" fname (List.length func.params)
+              (List.length args)));
+    let rec bind env' store loc params args =
+      match (params, args) with
+      | p :: params, a :: args ->
+        bind (Env.add p loc env') (Store.add loc a store) (loc + 1) params args
+      | _ -> eval func.body env' store loc (KReturn (env, next_loc) :: kont) (fname :: stack) taken
+    in
+    bind Env.empty store next_loc func.params args
+  in
+  let { control; env; store; next_loc; kont; stack; _ } = st in
+  try
+    match control with
+    | Eval e -> eval e env store next_loc kont stack 0
+    | Ret v -> ret v env store next_loc kont stack 0
+    | Await -> await env store next_loc kont stack 0
+  with Guest_fault msg -> Fault msg
+
+let step st = run st ~fuel:1
 
 let resume st v =
   (match st.control with

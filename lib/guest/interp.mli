@@ -14,7 +14,7 @@
 type state
 
 type status =
-  | Running of state  (** one small step was taken *)
+  | Running of state  (** the fuel ran out; the machine can go on *)
   | Compute of int * state
       (** the program executed [Spin n]: charge [n] abstract compute
           units of virtual time, then continue *)
@@ -27,11 +27,18 @@ val start : Ast.program -> argv:string list -> state
 (** A machine about to evaluate the program's [main] with ["argv"]
     bound to the argument strings. *)
 
-val step : state -> status
-
 val run : state -> fuel:int -> status
 (** Take up to [fuel] small steps, stopping early on any non-[Running]
-    status. Returns [Running s] if the fuel ran out. *)
+    status; [Running s] means the fuel ran out. Each step counts one in
+    {!steps_executed}, including the one that stops the run, and the
+    status is the one the same number of single {!step}s reaches. Only
+    the returned state is allocated: the steps in between build no
+    state record.
+    Raises [Invalid_argument] if a step is due while the machine awaits
+    a syscall result. *)
+
+val step : state -> status
+(** [run st ~fuel:1]. *)
 
 val resume : state -> Ast.value -> state
 (** Provide the result of the pending system call. *)

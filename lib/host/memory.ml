@@ -45,6 +45,7 @@ type t = {
   alloc : allocator;
   mutable regions : region list;  (** sorted by base, non-overlapping *)
   mutable cow_faults : int;
+  mutable resident : int;  (** frames held by [regions], kept by every map and unmap *)
 }
 
 exception Fault of int
@@ -52,7 +53,7 @@ exception Fault of int
 
 let make_allocator () = { next_fid = 0; live_frames = 0 }
 
-let create alloc = { alloc; regions = []; cow_faults = 0 }
+let create alloc = { alloc; regions = []; cow_faults = 0; resident = 0 }
 
 let pages_of_bytes n = (n + page_size - 1) / page_size
 
@@ -93,6 +94,7 @@ let map_resident t ~base ~npages ~perm ~kind =
   for i = 0 to npages - 1 do
     r.frames.(i) <- Some (new_frame t.alloc)
   done;
+  t.resident <- t.resident + npages;
   r
 
 let find_region t addr =
@@ -119,6 +121,7 @@ let page_frame t r idx ~write ~whole =
     | None ->
       let frame = new_frame t.alloc in
       r.frames.(idx) <- Some frame;
+      t.resident <- t.resident + 1;
       frame
     | Some frame when write && frame.refcount > 1 ->
       let data = if whole || frame.data == zero_page then zero_page else Bytes.copy frame.data in
@@ -193,7 +196,13 @@ let unmap t ~base =
   match find_region t base with
   | None -> raise (Fault base)
   | Some r ->
-    Array.iter (function Some f -> drop_frame t.alloc f | None -> ()) r.frames;
+    Array.iter
+      (function
+        | Some f ->
+          drop_frame t.alloc f;
+          t.resident <- t.resident - 1
+        | None -> ())
+      r.frames;
     t.regions <- List.filter (fun r' -> r' != r) t.regions
 
 (* Share [npages] starting at [src_base] of [src] into [dst] at
@@ -218,6 +227,7 @@ let share_range ~src ~dst ~src_base ~dst_base ~npages ~kind =
     | None -> ()
   done;
   insert dst dst_region;
+  dst.resident <- dst.resident + !granted;
   !granted
 
 (* Fork-style duplication of the whole address space: every region
@@ -256,18 +266,16 @@ let map_image t ~base ~image ~perm ~kind =
   in
   let r = { base; npages; perm; kind; frames } in
   insert t r;
+  t.resident <- t.resident + npages;
   r
 
 let destroy t =
   List.iter (fun r -> Array.iter (function Some f -> drop_frame t.alloc f | None -> ()) r.frames) t.regions;
-  t.regions <- []
+  t.regions <- [];
+  t.resident <- 0
 
 (* Resident set size: every resident frame counted fully. *)
-let rss t =
-  List.fold_left
-    (fun acc r ->
-      Array.fold_left (fun a -> function Some _ -> a + page_size | None -> a) acc r.frames)
-    0 t.regions
+let rss t = t.resident * page_size
 
 (* Proportional set size: shared frames split between their holders —
    what "incremental memory of a forked child" measures. *)
@@ -282,11 +290,7 @@ let pss t =
     0.0 t.regions
   |> int_of_float
 
-let resident_pages t =
-  List.fold_left
-    (fun acc r ->
-      Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) acc r.frames)
-    0 t.regions
+let resident_pages t = t.resident
 
 let system_bytes alloc = alloc.live_frames * page_size
 let cow_faults t = t.cow_faults

@@ -92,7 +92,23 @@ let components path =
   in
   norm [] parts
 
-let normalize path = "/" ^ String.concat "/" (components path)
+(* An absolute path with no empty, "." or ".." component (so no
+   trailing or doubled slash either) is its own normal form. *)
+let is_normal path =
+  let n = String.length path in
+  let rec scan start i =
+    if i < n && path.[i] <> '/' then scan start (i + 1)
+    else
+      let len = i - start in
+      len > 0
+      && (not (len = 1 && path.[start] = '.'))
+      && (not (len = 2 && path.[start] = '.' && path.[start + 1] = '.'))
+      && (i = n || scan (i + 1) (i + 1))
+  in
+  n > 0 && path.[0] = '/' && scan 1 1
+
+let normalize path =
+  if is_normal path then path else "/" ^ String.concat "/" (components path)
 
 let rec walk node = function
   | [] -> Some node

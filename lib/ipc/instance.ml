@@ -339,14 +339,12 @@ let next_seq t =
    active fault plan. *)
 let send_env ?(ctx = 0) t ep env =
   let data = Wire.encode ~ctx env in
-  let dbg = Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None in
-  if dbg then Printf.eprintf "[ipc %s] sending %s ep=%d t=%d\n%!" t.my_addr (Wire.describe env) ep.Stream.id (K.now (kernel t));
   (* marshal + write cost delays delivery, but the message claims its
      place in the stream order now — an exiting peer's EOF cannot
      overtake it *)
   let cost = Time.add (Time.us 0.8) (Time.add Cost.host_write_base (Cost.copy_cost (String.length data))) in
   (try K.stream_send ~extra:cost ~faultable:true (kernel t) ep data
-   with K.Denied e -> if dbg then Printf.eprintf "[ipc %s] send failed %s\n%!" t.my_addr e)
+   with K.Denied _ -> ())
 
 let respond t ep reqid resp = send_env t ep (Wire.Resp (reqid, resp))
 
@@ -406,9 +404,6 @@ let leader_reap_peer t addr =
 let rec pump ?addr t ep =
   K.stream_recv_msg (kernel t) ep (function
     | None ->
-      if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
-        Printf.eprintf "[ipc %s] pump EOF ep=%d closed=%b t=%d\n%!" t.my_addr ep.Stream.id
-          (Stream.is_closed ep) (K.now (kernel t));
       (* the peer is gone: drop the cached stream and fail every
          request still waiting on it (the caller's retry machinery —
          EMOVED handling, leader election — takes over) *)
@@ -472,9 +467,6 @@ let rec pump ?addr t ep =
           pump ?addr t ep))
 
 and handle t ep env ~ctx =
-  if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
-    Printf.eprintf "[ipc %s] handling %s t=%d shutdown=%b\n%!" t.my_addr (Wire.describe env)
-      (K.now (kernel t)) t.shutdown;
   t.rpc_handled <- t.rpc_handled + 1;
   match env with
   | Wire.Resp (id, resp) -> (
@@ -562,8 +554,6 @@ and with_stream t addr k =
 and rpc t ~addr req k = rpc_attempt t ~addr ~tries:t.cfg.Config.rpc_tries req k
 
 and rpc_attempt t ~addr ~tries req k =
-  if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
-    Printf.eprintf "[ipc %s] rpc to %s\n%!" t.my_addr addr;
   (* the leader died (or is unreachable): elect a replacement over the
      broadcast stream, then retry against whoever won *)
   let retry_after_election () =
@@ -576,9 +566,6 @@ and rpc_attempt t ~addr ~tries req k =
       | Error _ when addr = t.leader_addr && tries > 0 && not t.shutdown ->
         retry_after_election ()
       | Error e ->
-        if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
-          Printf.eprintf "[ipc %s] connect to %s failed: %s\n%!" t.my_addr addr
-            (Errno.to_string e);
         k (Wire.R_err e)
       | Ok h ->
         let id = next_seq t in

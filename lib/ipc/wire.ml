@@ -127,11 +127,6 @@ let notification_label = function
   | State_report _ -> "state_report"
   | Batch _ -> "batch"
 
-let describe = function
-  | Req { seq; origin; _ } -> Printf.sprintf "req#%d from %s" seq origin
-  | Resp (n, _) -> Printf.sprintf "resp#%d" n
-  | Oneway { seq; origin; _ } -> Printf.sprintf "oneway#%d from %s" seq origin
-
 (* {1 Receiver-side duplicate suppression}
 
    One instance per receiver. The (origin, seq) pair identifies a

@@ -112,8 +112,6 @@ val req_label : request -> string
 
 val notification_label : notification -> string
 
-val describe : envelope -> string
-
 (** Receiver-side duplicate suppression: one instance per receiver,
     keyed by (origin, seq). Makes request handling exactly-once in
     effect under retransmission and fault-injected duplication — a

@@ -444,13 +444,21 @@ let status_shape = function
   | Interp.Finished v -> "finished " ^ Ast.value_to_string v
   | Interp.Fault m -> "fault " ^ m
 
+(* The shape plus a digest of the machine image, where there is one. *)
+let status_image status =
+  let image st = Digest.to_hex (Digest.string (Interp.to_bytes st)) in
+  match status with
+  | Interp.Running st | Interp.Compute (_, st) | Interp.Syscall (_, _, st) ->
+    status_shape status ^ " " ^ image st
+  | Interp.Finished _ | Interp.Fault _ -> status_shape status
+
 let check_run_matches_steps label st =
   List.iter
     (fun k ->
       Util.check_str
         (Printf.sprintf "%s, fuel %d" label k)
-        (status_shape (step_n st k))
-        (status_shape (Interp.run st ~fuel:k)))
+        (status_image (step_n st k))
+        (status_image (Interp.run st ~fuel:k)))
     [ 0; 1; 2; 3; 5; 8; 13; 40; 1000 ]
 
 let step_count_tests =
@@ -481,7 +489,116 @@ let step_count_tests =
             check_int "step adds one" (Interp.steps_executed st + 1) (Interp.steps_executed st')
           | s -> Alcotest.failf "expected running, got %s" (status_shape s));
           check_run_matches_steps "resumed" resumed
+        | s -> Alcotest.failf "expected probe, got %s" (status_shape s));
+    case "a machine awaiting a syscall result takes no step" (fun () ->
+        let program = prog ~name:"/t" ~funcs:[ func "h" [ "s" ] (v "s") ] (sys "probe" []) in
+        match Interp.run (Interp.start program ~argv:[]) ~fuel:1000 with
+        | Interp.Syscall ("probe", [], st) -> (
+          let awaiting = Invalid_argument "Interp.step: machine is awaiting a syscall result" in
+          Alcotest.check_raises "step" awaiting (fun () -> ignore (Interp.step st));
+          Util.check_str "no fuel" (status_image (Interp.Running st))
+            (status_image (Interp.run st ~fuel:0));
+          (* a handler injected into the wait runs, then the machine is
+             back in the wait: fuel that ends there returns it, one
+             more step is rejected *)
+          let handled = Interp.interrupt st ~func:"h" ~args:[ Ast.Vint 1 ] in
+          let rec to_wait st n =
+            match Interp.step st with
+            | Interp.Running st' -> to_wait st' (n + 1)
+            | exception Invalid_argument _ -> (st, n)
+            | s -> Alcotest.failf "expected the wait, got %s" (status_shape s)
+          in
+          let waiting, n = to_wait handled 0 in
+          Util.check_str "fuel ends at the wait" (status_image (Interp.Running waiting))
+            (status_image (Interp.run handled ~fuel:n));
+          Alcotest.check_raises "one more step" awaiting (fun () ->
+              ignore (Interp.run handled ~fuel:(n + 1)));
+          match Interp.run (Interp.resume waiting (Ast.Vint 5)) ~fuel:1000 with
+          | Interp.Finished (Ast.Vint 5) -> ()
+          | s -> Alcotest.failf "expected 5, got %s" (status_shape s))
         | s -> Alcotest.failf "expected probe, got %s" (status_shape s)) ]
+
+(* {1 Pinned machine images}
+
+   The interpreter's cost model charges per step, and fork and
+   migration charge per byte of [to_bytes]; the images at each stop
+   must not change with the interpreter's implementation. Each program
+   is driven with stubbed syscall results and a small fuel, so fuel
+   boundaries fall all over the program; every stop contributes its
+   kind, step count and the MD5 of its image to one digest. *)
+
+let image_trace program ~argv ~text =
+  let trace = Buffer.create 4096 and reads = ref 0 and pids = ref 100 and syscalls = ref 0 in
+  let note kind st =
+    Printf.bprintf trace "%s@%d:%s\n" kind (Interp.steps_executed st)
+      (Digest.to_hex (Digest.string (Interp.to_bytes st)))
+  in
+  let answer = function
+    | "read" ->
+      incr reads;
+      Ast.Vstr (if !reads = 1 then text else "")
+    | "fork" ->
+      incr pids;
+      Ast.Vint !pids
+    | "wait" -> Ast.Vint !pids
+    | "mmap" -> Ast.Vint 0x100000
+    | "pipe" -> Ast.Vpair (Ast.Vint 4, Ast.Vint 5)
+    | _ -> Ast.Vint 3
+  in
+  let rec go st =
+    match Interp.run st ~fuel:97 with
+    | Interp.Syscall (name, _, st') ->
+      incr syscalls;
+      note name st';
+      if name <> "exit" then go (Interp.resume st' (answer name))
+      else Interp.steps_executed st'
+    | Interp.Running st' ->
+      note "fuel" st';
+      go st'
+    | Interp.Compute (n, st') ->
+      note (Printf.sprintf "compute %d" n) st';
+      go st'
+    | Interp.Finished _ -> Alcotest.fail "finished without exit"
+    | Interp.Fault m -> Alcotest.failf "fault: %s" m
+  in
+  let steps = go (Interp.start program ~argv) in
+  Printf.sprintf "%d syscalls, %d steps, %s" !syscalls steps
+    (Digest.to_hex (Digest.string (Buffer.contents trace)))
+
+let pinned_image_tests =
+  let pin name expected program ~argv ~text =
+    case ("machine images of " ^ name ^ " are pinned") (fun () ->
+        Util.check_str name expected (image_trace program ~argv ~text))
+  in
+  [ pin "/bin/cc" "127 syscalls, 3765 steps, 351b5048613ff6217775f98bfcc1582d"
+      Graphene_apps.Compile.cc ~argv:[ "/src/f1.c"; "/src/f1.o" ]
+      ~text:"WORK 5000 PROBES 40\n/////";
+    pin "/bin/make" "11 syscalls, 636 steps, 6d621bd9e92e32f7b263a3e60adc463f"
+      Graphene_apps.Compile.make ~argv:[ "/src/make.manifest"; "2" ]
+      ~text:"/src/f1.c /src/f1.o\n/src/f2.c /src/f2.o\n\n/src/f3.c  /src/f3.o\n";
+    pin "/bin/sh" "25 syscalls, 2825 steps, aa726d9016b29e398c0268db5cfd4348"
+      Graphene_apps.Shell.sh ~argv:[ "/script.sh" ]
+      ~text:
+        "echo hello  world\nls /tmp &\ncat /etc/motd &\nwait\n# comment\ncd /tmp\n\
+         cat a.txt | wc\necho x > out.txt\nsort < in.txt >> out.txt\ndate &\n" ]
+
+(* {1 Host cost of a step}
+
+   A step allocates the frame it pushes and the values it makes, and
+   nothing for the machine itself: the minor-heap words a plain
+   counting loop allocates, per step, stay under a small bound. *)
+
+let alloc_tests =
+  [ case "a counting loop allocates at most 8 words per step" (fun () ->
+        let loop = let_ "i" (int 0) (while_ (v "i" <% int 10_000) (set "i" (v "i" +% int 1))) in
+        let st = Interp.start (prog ~name:"/t" (seq [ loop; sys "done" [] ])) ~argv:[] in
+        let before = Gc.minor_words () in
+        match Interp.run st ~fuel:10_000_000 with
+        | Interp.Syscall ("done", [], st') ->
+          let words = Gc.minor_words () -. before in
+          let per_step = words /. float_of_int (Interp.steps_executed st') in
+          if per_step > 8.0 then Alcotest.failf "%.1f words per step" per_step
+        | s -> Alcotest.failf "expected the done syscall, got %s" (status_shape s)) ]
 
 (* {1 Scope lifetime}
 
@@ -584,5 +701,5 @@ let scope_tests =
 let suite =
   arith_tests @ control_tests @ func_tests @ syscall_tests @ fork_semantics_tests
   @ serialize_tests @ interrupt_tests @ call_stack_tests @ edge_tests @ step_count_tests
-  @ scope_tests
+  @ scope_tests @ pinned_image_tests @ alloc_tests
   @ List.map QCheck_alcotest.to_alcotest [ arith_prop; roundtrip_prop ]

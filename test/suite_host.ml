@@ -102,6 +102,34 @@ let vfs_rw_prop =
       Vfs.write_file f ~off data;
       Vfs.read_file f ~off ~len:(String.length data) = data)
 
+(* [normalize] against a reference written from the definition: drop
+   empty and "." components, let ".." pop one, rejoin under "/". An
+   already-normal path takes a scan-only fast path in [Vfs]; the
+   generator mixes such paths with ones that need rewriting. *)
+let normalize_prop =
+  let reference p =
+    if p = "" || p.[0] <> '/' then Error "EINVAL"
+    else
+      let keep acc = function
+        | "" | "." -> acc
+        | ".." -> ( match acc with [] -> [] | _ :: t -> t)
+        | c -> c :: acc
+      in
+      Ok ("/" ^ String.concat "/" (List.rev (List.fold_left keep [] (String.split_on_char '/' p))))
+  in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun abs parts -> (if abs then "/" else "") ^ String.concat "/" parts)
+        (frequency [ (4, return true); (1, return false) ])
+        (list_size (int_range 0 6) (oneofl [ ""; "."; ".."; "a"; "bin"; "usr"; ".x"; "..."; "a.b" ])))
+  in
+  QCheck.Test.make ~name:"normalize agrees with the reference on random paths" ~count:500
+    (QCheck.make ~print:(fun p -> Printf.sprintf "%S" p) gen)
+    (fun p ->
+      let got = match Vfs.normalize p with n -> Ok n | exception Vfs.Error e -> Error e in
+      got = reference p)
+
 (* {1 Memory} *)
 
 let fresh_mem () =
@@ -325,6 +353,53 @@ let cow_prop =
         writes;
       Memory.read_bytes a 0 (4 * 4096) = Bytes.to_string expect_a
       && Memory.read_bytes b 0 (4 * 4096) = Bytes.to_string expect_b)
+
+(* [rss] is a running count; recount it the slow way, page by page
+   over every region, after random map, write, share, unmap and
+   destroy sequences on two address spaces of one host. Operations
+   that the memory rejects (overlap, unmapped, read-only) must leave
+   the count alone too. *)
+let rss_model_prop =
+  let recount m =
+    List.fold_left
+      (fun acc r ->
+        let pages = ref 0 in
+        for i = 0 to Memory.region_npages r - 1 do
+          if Memory.resident m (Memory.region_base r + (i * Memory.page_size)) then incr pages
+        done;
+        acc + (!pages * Memory.page_size))
+      0 (Memory.regions m)
+  in
+  let op = QCheck.(quad (int_range 0 6) bool (int_range 0 3) (int_range 1 8)) in
+  QCheck.Test.make ~name:"rss equals a recount after random map/write/share/unmap" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 40) op)
+    (fun ops ->
+      let alloc = Memory.make_allocator () in
+      let spaces = [| Memory.create alloc; Memory.create alloc |] in
+      let image = Memory.make_image alloc ~bytes:(3 * Memory.page_size) in
+      let base slot = slot * 0x100000 in
+      List.for_all
+        (fun (kind, which, slot, n) ->
+          let m = spaces.(Bool.to_int which) and other = spaces.(1 - Bool.to_int which) in
+          (try
+             match kind with
+             | 0 -> ignore (Memory.map m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
+             | 1 ->
+               ignore
+                 (Memory.map_resident m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
+             | 2 ->
+               ignore
+                 (Memory.map_image m ~base:(base slot) ~image ~perm:Memory.rx ~kind:Memory.App_image)
+             | 3 -> ignore (Memory.write_bytes m (base slot + ((n - 1) * Memory.page_size)) "dirty")
+             | 4 ->
+               ignore
+                 (Memory.share_range ~src:m ~dst:other ~src_base:(base slot) ~dst_base:(base slot)
+                    ~npages:1 ~kind:Memory.Heap)
+             | 5 -> Memory.unmap m ~base:(base slot)
+             | _ -> Memory.destroy m
+           with Memory.Fault _ | Invalid_argument _ -> ());
+          Array.for_all (fun m -> Memory.rss m = recount m) spaces)
+        ops)
 
 (* {1 Streams} *)
 
@@ -601,7 +676,7 @@ let ordering_tests =
 
 let suite =
   ordering_tests @ vfs_tests
-  @ [ QCheck_alcotest.to_alcotest vfs_rw_prop ]
+  @ List.map QCheck_alcotest.to_alcotest [ vfs_rw_prop; normalize_prop ]
   @ mem_tests @ lazy_frame_tests
-  @ [ QCheck_alcotest.to_alcotest cow_prop ]
+  @ List.map QCheck_alcotest.to_alcotest [ cow_prop; rss_model_prop ]
   @ stream_tests @ sync_tests @ kernel_tests
