@@ -22,5 +22,5 @@ let dirty bytes =
          (while_
             (v "__wsoff" <% int n)
             (seq
-               [ sys "poke" [ v "__wsbase" +% v "__wsoff"; repeat (str "w") (int chunk) ];
+               [ sys "poke" [ v "__wsbase" +% v "__wsoff"; pair (str "w") (int chunk) ];
                  set "__wsoff" (v "__wsoff" +% int chunk) ])))

@@ -21,6 +21,7 @@ module Interp = Graphene_guest.Interp
 module Loader = Graphene_liblinux.Loader
 module Signal = Graphene_liblinux.Signal
 module Errno = Graphene_liblinux.Errno
+module Memcall = Graphene_liblinux.Memcall
 module E = Graphene_core.Errno
 
 (* Native memory layout: tuned so "hello world" is ~352 KB resident. *)
@@ -796,17 +797,10 @@ and dispatch_inner p th name args =
         finish p th ~cost:(Time.ns 200) (vint (K.heap_base + p.brk))
       | exception Invalid_argument _ -> fail p th E.ENOMEM)
     end
-  | "poke" ->
-    let addr = int_arg 0 and data = str_arg 1 in
-    let cow = Memory.write_bytes p.pico.K.aspace addr data in
-    K.update_peak_rss p.pico;
-    finish p th
-      ~cost:(Time.add (Cost.copy_cost (String.length data)) (Time.scale Cost.cow_fault (float_of_int cow)))
-      (vint 0)
-  | "peek" ->
-    finish p th
-      ~cost:(Cost.copy_cost (int_arg 1))
-      (vstr (Memory.read_bytes p.pico.K.aspace (int_arg 0) (int_arg 1)))
+  | "poke" | "peek" -> (
+    match Memcall.call p.pico name args with
+    | Ok (v, cost) -> finish p th ~cost v
+    | Error e -> fail p th e)
   (* {2 Threads} *)
   | "clone" -> (
     let fname = str_arg 0 in

@@ -94,8 +94,7 @@ let split_on_string s sep =
   in
   loop 0 0 []
 
-(* [s] concatenated [n] times, built in one allocation: memory-dirtying
-   guests repeat a one-byte string into 64 KiB chunks millions of times. *)
+(* [s] concatenated [n] times, built in one allocation. *)
 let repeat s n =
   let len = String.length s in
   if n < 0 then raise (Guest_fault "Repeat: negative count");

@@ -22,14 +22,34 @@ type kind =
   | Mmap
   | Stack
 
-(* A frame that was never written reads from [zero_page], which is
-   shared by every such frame and never written itself; the frame gets
-   its own 4 KiB just before its first write ([page_frame ~write]).
-   Payloads are host storage only: residency, refcounts and every
-   modeled number are the same as if each frame owned its bytes. *)
+(* A frame whose every byte is [c] can read from [c]'s constant page,
+   which is shared by every such frame and never written itself. A
+   never-written frame is on the ['\000'] page ([zero_page]), and a
+   page-sized [fill] puts a frame on its byte's page; the frame gets its
+   own 4 KiB just before a write changes only part of it
+   ([page_frame ~write]). Payloads are host storage only: residency,
+   refcounts and every modeled number are the same as if each frame
+   owned its bytes. *)
 type frame = { fid : int; mutable refcount : int; mutable data : bytes }
 
-let zero_page = Bytes.make page_size '\000'
+(* Indexed by byte value; [Bytes.empty] until that byte's page is first
+   used. *)
+let const_pages = Array.make 256 Bytes.empty
+
+let const_page c =
+  let p = const_pages.(Char.code c) in
+  if p != Bytes.empty then p
+  else begin
+    let p = Bytes.make page_size c in
+    const_pages.(Char.code c) <- p;
+    p
+  end
+
+let zero_page = const_page '\000'
+
+(* Only [c]'s own page can be [c]'s constant page, and every payload
+   is a page long, so its first byte names the one candidate. *)
+let is_const data = const_pages.(Char.code (Bytes.unsafe_get data 0)) == data
 
 type region = {
   base : int;
@@ -112,28 +132,33 @@ let accessible_region t addr ~write =
   r
 
 (* Page [idx] of [r], made resident; on a write to a shared frame, the
-   share is broken with a private copy, and a frame still on the zero
-   page gets its own bytes. A page the caller is about to overwrite
-   [whole] is not zero-filled first. *)
+   share is broken with a new frame that keeps reading a constant page
+   but copies any other payload. A share broken for a page the caller
+   is about to overwrite [whole] copies nothing. *)
+let resident_frame t r idx ~write ~whole =
+  match r.frames.(idx) with
+  | None ->
+    let frame = new_frame t.alloc in
+    r.frames.(idx) <- Some frame;
+    t.resident <- t.resident + 1;
+    frame
+  | Some frame when write && frame.refcount > 1 ->
+    let data =
+      if whole then zero_page else if is_const frame.data then frame.data else Bytes.copy frame.data
+    in
+    let copy = frame_of t.alloc data in
+    drop_frame t.alloc frame;
+    r.frames.(idx) <- Some copy;
+    t.cow_faults <- t.cow_faults + 1;
+    copy
+  | Some frame -> frame
+
+(* [resident_frame], and on a write a frame still on a constant page
+   gets its own bytes; a [whole] overwrite does not copy them first. *)
 let page_frame t r idx ~write ~whole =
-  let frame =
-    match r.frames.(idx) with
-    | None ->
-      let frame = new_frame t.alloc in
-      r.frames.(idx) <- Some frame;
-      t.resident <- t.resident + 1;
-      frame
-    | Some frame when write && frame.refcount > 1 ->
-      let data = if whole || frame.data == zero_page then zero_page else Bytes.copy frame.data in
-      let copy = frame_of t.alloc data in
-      drop_frame t.alloc frame;
-      r.frames.(idx) <- Some copy;
-      t.cow_faults <- t.cow_faults + 1;
-      copy
-    | Some frame -> frame
-  in
-  if write && frame.data == zero_page then
-    frame.data <- (if whole then Bytes.create page_size else Bytes.make page_size '\000');
+  let frame = resident_frame t r idx ~write ~whole in
+  if write && is_const frame.data then
+    frame.data <- (if whole then Bytes.create page_size else Bytes.copy frame.data);
   frame
 
 (* Make the page containing [addr] resident; on a write to a shared
@@ -152,8 +177,8 @@ let resident t addr =
   | Some r -> r.frames.((addr - r.base) / page_size) <> None
 
 (* Byte-granularity access: hand [f] each page that [n] bytes from
-   [addr] span, as (frame, offset in page, offset in the data, length).
-   A region is looked up once, not once per page. *)
+   [addr] span, as (region, page index, offset in page, offset in the
+   data, length). A region is looked up once, not once per page. *)
 let iter_pages t addr n ~write f =
   let rec loop r off =
     if off < n then begin
@@ -162,27 +187,47 @@ let iter_pages t addr n ~write f =
       else begin
         let page_off = a mod page_size in
         let take = Stdlib.min (n - off) (page_size - page_off) in
-        let frame =
-          page_frame t r ((a - r.base) / page_size) ~write ~whole:(write && take = page_size)
-        in
-        f frame page_off off take;
+        f r ((a - r.base) / page_size) page_off off take;
         loop r (off + take)
       end
     end
   in
   if n > 0 then loop (accessible_region t addr ~write) 0
 
+(* Does every byte of [addr, addr + n) lie in a region that permits the
+   access? Nothing is faulted in. *)
+let accessible t addr n ~write =
+  let rec from off =
+    off >= n
+    ||
+    match find_region t (addr + off) with
+    | Some r when if write then r.perm.w else r.perm.r -> from (region_end r - addr)
+    | _ -> false
+  in
+  from 0
+
 (* Returns the number of COW copies performed so the caller can charge
    fault costs. *)
 let write_bytes t addr s =
   let cows = t.cow_faults in
-  iter_pages t addr (String.length s) ~write:true (fun frame page_off off take ->
+  iter_pages t addr (String.length s) ~write:true (fun r idx page_off off take ->
+      let frame = page_frame t r idx ~write:true ~whole:(take = page_size) in
       Bytes.blit_string s off frame.data page_off take);
+  t.cow_faults - cows
+
+(* [write_bytes t addr (String.make n c)] without the string: a page the
+   fill covers whole reads from [c]'s constant page. *)
+let fill t addr c n =
+  let cows = t.cow_faults in
+  iter_pages t addr n ~write:true (fun r idx page_off _ take ->
+      if take = page_size then (resident_frame t r idx ~write:true ~whole:true).data <- const_page c
+      else Bytes.fill (page_frame t r idx ~write:true ~whole:false).data page_off take c);
   t.cow_faults - cows
 
 let read_bytes t addr n =
   let buf = Bytes.create (Stdlib.max n 0) in
-  iter_pages t addr n ~write:false (fun frame page_off off take ->
+  iter_pages t addr n ~write:false (fun r idx page_off off take ->
+      let frame = page_frame t r idx ~write:false ~whole:false in
       Bytes.blit frame.data page_off buf off take);
   Bytes.unsafe_to_string buf
 

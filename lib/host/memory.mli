@@ -63,7 +63,19 @@ val write_bytes : t -> int -> string -> int
 (** Returns the number of COW copies performed, so callers can charge
     {!Graphene_sim.Cost.cow_fault} per copy. *)
 
+val fill : t -> int -> char -> int -> int
+(** [fill t addr c n] writes [n] copies of [c], with the same frames,
+    residency, COW copies and accounting as
+    [write_bytes t addr (String.make n c)]. A page it covers whole
+    shares [c]'s constant page and allocates no payload. Returns the
+    number of COW copies. *)
+
 val read_bytes : t -> int -> int -> string
+
+val accessible : t -> int -> int -> write:bool -> bool
+(** [accessible t addr n ~write]: every byte of [\[addr, addr + n)] is
+    mapped and permits the access. Faults nothing in; [n <= 0] is
+    [true]. *)
 
 (** {1 Sharing (fork, bulk IPC)} *)
 

@@ -27,7 +27,8 @@
     - network (loopback TCP): [listen_tcp port], [accept fd],
       [connect_tcp port], [select fds] -> ready fd, [shutdown fd]
     - memory: [mmap bytes] -> addr, [munmap addr], [brk bytes],
-      [poke addr s], [peek addr n], [getrss]
+      [poke addr s], [poke addr (c, n)], [peek addr n] (see
+      {!Memcall}), [getrss]
     - threads: [clone fname arg] -> tid, [join tid], [sched_yield]
     - misc: [nanosleep ns] (negative -> -EINVAL), [gettimeofday],
       [time], [clock_gettime], [uname], [getuid], [sysinfo] -> cores,
@@ -563,12 +564,7 @@ let callbacks_of lx =
    dirtied rather than remapped, which is what makes the child's
    incremental footprint real (§6.2). *)
 let dirty_range asp ~base ~bytes =
-  let page = Memory.page_size in
-  let zeros = String.make page '\000' in
-  let npages = Memory.pages_of_bytes bytes in
-  for i = 0 to npages - 1 do
-    ignore (Memory.write_bytes asp (base + (i * page)) zeros)
-  done
+  ignore (Memory.fill asp base '\000' (Memory.pages_of_bytes bytes * Memory.page_size))
 
 let map_private_unless_present asp ~base ~bytes ~kind =
   match Memory.find_region asp base with
@@ -1060,17 +1056,10 @@ and dispatch_inner lx th name args =
           finish lx th (vint (K.heap_base + lx.brk))
         | Error e -> fail lx th e)
     end
-  | "poke" ->
-    let addr = int_arg 0 and data = str_arg 1 in
-    let cow = Memory.write_bytes (pico lx).K.aspace addr data in
-    K.update_peak_rss (pico lx);
-    finish lx th
-      ~cost:(Time.add (Cost.copy_cost (String.length data)) (Time.scale Cost.cow_fault (float_of_int cow)))
-      (vint 0)
-  | "peek" ->
-    let addr = int_arg 0 and n = int_arg 1 in
-    let data = Memory.read_bytes (pico lx).K.aspace addr n in
-    finish lx th ~cost:(Cost.copy_cost n) (vstr data)
+  | "poke" | "peek" -> (
+    match Memcall.call (pico lx) name args with
+    | Ok (v, cost) -> finish lx th ~cost v
+    | Error e -> fail lx th e)
   (* {2 Threads} *)
   | "clone" -> do_clone lx th (str_arg 0) (a 1)
   | "join" ->

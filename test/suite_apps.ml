@@ -300,6 +300,30 @@ let marks_tests =
                 (seq [ Apps.Memmodel.dirty 1000; sys "exit" [ int 0 ] ]))
         in
         expect_exit r);
+    case "dirtying 1 MiB allocates at most 1,024 host words per 64 KiB chunk" (fun () ->
+        (* the host words of a whole Graphene+RM run, minor plus major,
+           with and without the dirtying: a chunk costs the guest loop,
+           one syscall and sixteen frame records, not its bytes. The
+           minor collections make [Gc.counters] count the young heap. *)
+        let run bytes =
+          Gc.minor ();
+          let minor, promoted, major = Gc.counters () in
+          let r =
+            run_prog ~stack:W.Graphene_rm
+              Graphene_guest.Builder.(
+                prog ~name:"/bin/t" (seq [ Apps.Memmodel.dirty bytes; sys "exit" [ int 0 ] ]))
+          in
+          Gc.minor ();
+          let minor', promoted', major' = Gc.counters () in
+          expect_exit r;
+          (minor' -. minor +. (major' -. major) -. (promoted' -. promoted), (W.pico r.p).K.peak_rss)
+        in
+        let mib = 1 lsl 20 in
+        let base_words, base_rss = run 0 in
+        let words, rss = run mib in
+        check_bool "1 MiB more resident" true (rss - base_rss >= mib);
+        let per_chunk = (words -. base_words) /. float_of_int (mib / Apps.Memmodel.chunk) in
+        if per_chunk > 1024.0 then Alcotest.failf "%.0f words per chunk" per_chunk);
     case "install is idempotent" (fun () ->
         let w = W.create W.Graphene in
         Apps.Install.all (W.kernel w).K.fs;

@@ -235,6 +235,86 @@ let missing_args_case =
       check_str "graphene" expected (run W.Graphene);
       check_str "graphene-rm" expected (run W.Graphene_rm))
 
+(* {1 Guest memory access out of range}
+
+   A [poke] or [peek] that reaches an unmapped or read-only page is
+   -EFAULT on every stack, decided before any byte moves: a [peek] far
+   past its mapping makes no buffer for it, and a [poke] that runs off
+   the end of its mapping writes nothing. A run-length [poke] whose
+   string is not one byte, or a [poke] or [peek] whose count is
+   negative, is -EINVAL. *)
+
+let memcall_prog =
+  let open B in
+  let show call = sys "print" [ str_of_int call; str ";" ] in
+  prog ~name:"/bin/badmem"
+    (let_ "base"
+       (sys "mmap" [ int 4096 ])
+       (seq
+          [ show (sys "poke" [ int 0x7000_0000_0000; str "x" ]);
+            show (sys "peek" [ int 0x7000_0000_0000; int 4 ]);
+            show (sys "poke" [ int K.app_base; str "x" ]);
+            show (sys "peek" [ v "base"; int (16 * 1024 * 1024) ]);
+            show (sys "poke" [ v "base"; pair (str "z") (int 4096) ]);
+            show (sys "poke" [ v "base" +% int 4000; str (String.make 200 'y') ]);
+            show (sys "poke" [ v "base" +% int 4000; pair (str "y") (int 200) ]);
+            show (sys "poke" [ v "base"; pair (str "ab") (int 4) ]);
+            show (sys "poke" [ v "base"; pair (str "y") (int (-1)) ]);
+            show (sys "peek" [ v "base"; int (-1) ]);
+            sys "print" [ sys "peek" [ v "base" +% int 3996; int 100 ] ];
+            sys "exit" [ int 0 ] ]))
+
+let memcall_expected = "-14;-14;-14;-14;0;-14;-14;-22;-22;-22;" ^ String.make 100 'z'
+
+let memcall_cases =
+  List.map
+    (fun stack ->
+      case
+        ("poke/peek out of range: -EFAULT on " ^ W.stack_name stack)
+        (fun () ->
+          let r = run_prog ~stack memcall_prog in
+          expect_exit r;
+          check_str "console" memcall_expected (r.out ())))
+    [ W.Linux; W.Kvm; W.Graphene; W.Graphene_rm ]
+
+(* A run-length [poke] charges what poking the same bytes as a string
+   charges: the copy plus one COW fault per share it breaks. A forked
+   child times one poke over two shared pages and a part of a third,
+   with the guest clock around the call. *)
+let poke_cost_prog data =
+  let open B in
+  prog ~name:"/bin/pokecost"
+    (let_ "base"
+       (sys "mmap" [ int (4 * 4096) ])
+       (seq
+          [ sys "poke" [ v "base"; pair (str "p") (int (4 * 4096)) ];
+            if_
+              (sys "fork" [] =% int 0)
+              (let_ "t0" (sys "gettimeofday" [])
+                 (seq
+                    [ sys "poke" [ v "base" +% int 100; data ];
+                      sys "print"
+                        [ str_of_int (sys "gettimeofday" [] -% v "t0");
+                          str ";";
+                          sys "peek" [ v "base" +% int 9090; int 20 ] ];
+                      sys "exit" [ int 0 ] ]))
+              (seq [ sys "wait" []; sys "exit" [ int 0 ] ]) ]))
+
+let poke_cost_case =
+  case "run-length poke costs what the string poke costs" (fun () ->
+      List.iter
+        (fun stack ->
+          let run data =
+            let r = run_prog ~stack (poke_cost_prog data) in
+            expect_exit r;
+            r.out ()
+          in
+          let str_out = run B.(repeat (str "c") (int 9000)) in
+          check_str (W.stack_name stack) str_out (run B.(pair (str "c") (int 9000)));
+          check_bool "bytes" true (contains str_out (";" ^ String.make 10 'c' ^ String.make 10 'p')))
+        [ W.Linux; W.Graphene ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ shell_prop; fs_prop ]
-  @ [ time_shape_case; missing_args_case ]
+  @ [ time_shape_case; missing_args_case; poke_cost_case ]
+  @ memcall_cases

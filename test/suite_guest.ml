@@ -570,7 +570,7 @@ let pinned_image_tests =
     case ("machine images of " ^ name ^ " are pinned") (fun () ->
         Util.check_str name expected (image_trace program ~argv ~text))
   in
-  [ pin "/bin/cc" "127 syscalls, 3765 steps, 351b5048613ff6217775f98bfcc1582d"
+  [ pin "/bin/cc" "127 syscalls, 3765 steps, d44cc222e4602be5d99f522bc79fafd8"
       Graphene_apps.Compile.cc ~argv:[ "/src/f1.c"; "/src/f1.o" ]
       ~text:"WORK 5000 PROBES 40\n/////";
     pin "/bin/make" "11 syscalls, 636 steps, 6d621bd9e92e32f7b263a3e60adc463f"

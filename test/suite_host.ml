@@ -255,8 +255,10 @@ let mem_tests =
 
 (* {2 Lazy frame payloads}
 
-   A never-written frame reads from a shared zero page and gets its own
-   4 KiB on its first write; only host storage may notice. *)
+   A never-written frame reads from a shared zero page, and a frame a
+   fill covers whole reads from that byte's shared page; either gets
+   its own 4 KiB on its first partial write. Only host storage may
+   notice. *)
 
 (* Host bytes allocated while [f] runs. *)
 let allocated_during f =
@@ -329,7 +331,44 @@ let lazy_frame_tests =
           "values"
           [ 5 * Memory.page_size; 3 * Memory.page_size; 5 * Memory.page_size;
             3 * Memory.page_size; 6 * Memory.page_size ]
-          lazy_) ]
+          lazy_);
+    case "a whole-page fill shares its byte's page until a partial write" (fun () ->
+        let _, m = fresh_mem () in
+        let npages = 64 in
+        let size = npages * Memory.page_size in
+        ignore (Memory.map m ~base:0x1000 ~npages ~perm:Memory.rw ~kind:Memory.Mmap);
+        let filled, _ = allocated_during (fun () -> Memory.fill m 0x1000 'w' size) in
+        check_bool "no payloads" true (filled < float_of_int (size / 8));
+        check_int "all resident" size (Memory.rss m);
+        (* a partial write gives page 5 its own bytes; every other
+           frame still reads the shared page *)
+        let page5 = 0x1000 + (5 * Memory.page_size) in
+        ignore (Memory.write_bytes m (page5 + 9) "x");
+        ignore (Memory.fill m (page5 + 20) 'y' 3);
+        let expect = Bytes.make size 'w' in
+        Bytes.set expect ((5 * Memory.page_size) + 9) 'x';
+        Bytes.fill expect ((5 * Memory.page_size) + 20) 3 'y';
+        check_str "only page 5 changed" (Bytes.to_string expect) (Memory.read_bytes m 0x1000 size);
+        ignore (Memory.map m ~base:0x100000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Mmap);
+        ignore (Memory.fill m 0x100000 'w' Memory.page_size);
+        check_str "a later fill reads clean" (String.make Memory.page_size 'w')
+          (Memory.read_bytes m 0x100000 Memory.page_size));
+    case "a fill breaks each share once and leaves the other holder alone" (fun () ->
+        let alloc, a = fresh_mem () in
+        let b = Memory.create alloc in
+        ignore (Memory.map_resident a ~base:0x1000 ~npages:3 ~perm:Memory.rw ~kind:Memory.Heap);
+        ignore (Memory.write_bytes a 0x1000 (String.make (3 * Memory.page_size) 'p'));
+        ignore (Memory.share_all ~src:a ~dst:b);
+        (* two whole pages and a partial third *)
+        check_int "three copies" 3 (Memory.fill b 0x1000 'c' ((2 * Memory.page_size) + 10));
+        check_int "three faults" 3 (Memory.cow_faults b);
+        check_str "other holder" (String.make (3 * Memory.page_size) 'p')
+          (Memory.read_bytes a 0x1000 (3 * Memory.page_size));
+        check_str "filler"
+          (String.make ((2 * Memory.page_size) + 10) 'c'
+          ^ String.make (Memory.page_size - 10) 'p')
+          (Memory.read_bytes b 0x1000 (3 * Memory.page_size));
+        check_int "six frames" (6 * Memory.page_size) (Memory.system_bytes alloc)) ]
 
 (* COW invariant: after sharing and arbitrary writes on both sides,
    each side reads back exactly what it last wrote. *)
@@ -355,10 +394,17 @@ let cow_prop =
       && Memory.read_bytes b 0 (4 * 4096) = Bytes.to_string expect_b)
 
 (* [rss] is a running count; recount it the slow way, page by page
-   over every region, after random map, write, share, unmap and
+   over every region, after random map, write, fill, share, unmap and
    destroy sequences on two address spaces of one host. Operations
    that the memory rejects (overlap, unmapped, read-only) must leave
-   the count alone too. *)
+   the count alone too.
+
+   The same sequence runs on a twin host where every [fill] is a
+   [write_bytes] of the same bytes: rss, pss, COW faults and system
+   bytes must agree after every step, and at the end both hosts must
+   read back what a byte-array model of each region holds. Fills are
+   whole-page and partial, over never-written, shared and private
+   frames, and may run off their region's end. *)
 let rss_model_prop =
   let recount m =
     List.fold_left
@@ -370,36 +416,103 @@ let rss_model_prop =
         acc + (!pages * Memory.page_size))
       0 (Memory.regions m)
   in
-  let op = QCheck.(quad (int_range 0 6) bool (int_range 0 3) (int_range 1 8)) in
+  let page = Memory.page_size in
+  let op = QCheck.(quad (int_range 0 7) bool (int_range 0 3) (int_range 1 8)) in
+  let fill_args =
+    QCheck.(
+      triple
+        (oneofl ~print:string_of_int
+           [ 0; 100; page - 1; page; 2 * page; (3 * page) + 7; 7 * page ])
+        (oneofl ~print:string_of_int
+           [ 1; 100; page; 2 * page; 3 * page; page + 50; (4 * page) - 100 ])
+        (oneofl ~print:(Printf.sprintf "%C") [ '\000'; 'a'; 'w' ]))
+  in
   QCheck.Test.make ~name:"rss equals a recount after random map/write/share/unmap" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 40) op)
+    QCheck.(list_of_size Gen.(int_range 1 40) (pair op fill_args))
     (fun ops ->
-      let alloc = Memory.make_allocator () in
-      let spaces = [| Memory.create alloc; Memory.create alloc |] in
-      let image = Memory.make_image alloc ~bytes:(3 * Memory.page_size) in
+      let host () =
+        let alloc = Memory.make_allocator () in
+        ( alloc,
+          [| Memory.create alloc; Memory.create alloc |],
+          Memory.make_image alloc ~bytes:(3 * page) )
+      in
+      let ((alloc, spaces, _) as filled) = host () in
+      let ((twin_alloc, twin, _) as written) = host () in
+      (* slot -> (writable, bytes) for each space *)
+      let model = [| Hashtbl.create 4; Hashtbl.create 4 |] in
       let base slot = slot * 0x100000 in
+      let apply ~fill (_, spaces, image) (kind, which, slot, n) (off, len, c) =
+        let m = spaces.(Bool.to_int which) and other = spaces.(1 - Bool.to_int which) in
+        try
+          match kind with
+          | 0 -> ignore (Memory.map m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
+          | 1 ->
+            ignore
+              (Memory.map_resident m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
+          | 2 ->
+            ignore
+              (Memory.map_image m ~base:(base slot) ~image ~perm:Memory.rx ~kind:Memory.App_image)
+          | 3 -> ignore (Memory.write_bytes m (base slot + ((n - 1) * page)) "dirty")
+          | 4 ->
+            ignore
+              (Memory.share_range ~src:m ~dst:other ~src_base:(base slot) ~dst_base:(base slot)
+                 ~npages:1 ~kind:Memory.Heap)
+          | 5 -> Memory.unmap m ~base:(base slot)
+          | 6 -> Memory.destroy m
+          | _ ->
+            let addr = base slot + off in
+            if fill then ignore (Memory.fill m addr c len)
+            else ignore (Memory.write_bytes m addr (String.make len c))
+        with Memory.Fault _ | Invalid_argument _ -> ()
+      in
+      let update (kind, which, slot, n) (off, len, c) =
+        let m = model.(Bool.to_int which) and other = model.(1 - Bool.to_int which) in
+        let write at s =
+          match Hashtbl.find_opt m slot with
+          | Some (true, b) when at < Bytes.length b ->
+            Bytes.blit_string s 0 b at (min (String.length s) (Bytes.length b - at))
+          | _ -> ()
+        in
+        let map writable npages =
+          if not (Hashtbl.mem m slot) then
+            Hashtbl.replace m slot (writable, Bytes.make (npages * page) '\000')
+        in
+        match kind with
+        | 0 | 1 -> map true n
+        | 2 -> map false 3
+        | 3 -> write ((n - 1) * page) "dirty"
+        | 4 -> (
+          match Hashtbl.find_opt m slot with
+          | Some (w, b) when not (Hashtbl.mem other slot) ->
+            Hashtbl.replace other slot (w, Bytes.sub b 0 page)
+          | _ -> ())
+        | 5 -> Hashtbl.remove m slot
+        | 6 -> Hashtbl.reset m
+        | _ -> write off (String.make len c)
+      in
+      let footprint alloc spaces =
+        Memory.system_bytes alloc
+        :: List.concat_map
+             (fun m -> [ Memory.rss m; Memory.pss m; Memory.cow_faults m ])
+             (Array.to_list spaces)
+      in
       List.for_all
-        (fun (kind, which, slot, n) ->
-          let m = spaces.(Bool.to_int which) and other = spaces.(1 - Bool.to_int which) in
-          (try
-             match kind with
-             | 0 -> ignore (Memory.map m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
-             | 1 ->
-               ignore
-                 (Memory.map_resident m ~base:(base slot) ~npages:n ~perm:Memory.rw ~kind:Memory.Heap)
-             | 2 ->
-               ignore
-                 (Memory.map_image m ~base:(base slot) ~image ~perm:Memory.rx ~kind:Memory.App_image)
-             | 3 -> ignore (Memory.write_bytes m (base slot + ((n - 1) * Memory.page_size)) "dirty")
-             | 4 ->
-               ignore
-                 (Memory.share_range ~src:m ~dst:other ~src_base:(base slot) ~dst_base:(base slot)
-                    ~npages:1 ~kind:Memory.Heap)
-             | 5 -> Memory.unmap m ~base:(base slot)
-             | _ -> Memory.destroy m
-           with Memory.Fault _ | Invalid_argument _ -> ());
-          Array.for_all (fun m -> Memory.rss m = recount m) spaces)
-        ops)
+        (fun (o, args) ->
+          apply ~fill:true filled o args;
+          apply ~fill:false written o args;
+          update o args;
+          Array.for_all (fun m -> Memory.rss m = recount m) spaces
+          && footprint alloc spaces = footprint twin_alloc twin)
+        ops
+      && List.for_all
+           (fun i ->
+             Hashtbl.fold
+               (fun slot (_, b) ok ->
+                 let read spaces = Memory.read_bytes spaces.(i) (base slot) (Bytes.length b) in
+                 ok && read spaces = Bytes.to_string b && read twin = Bytes.to_string b)
+               model.(i) true
+             && List.length (Memory.regions spaces.(i)) = Hashtbl.length model.(i))
+           [ 0; 1 ])
 
 (* {1 Streams} *)
 
